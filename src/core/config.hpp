@@ -83,8 +83,9 @@ struct Config {
 
   /// §6 extension: adapt T_SLEEP online. A worker woken sooner than
   /// adaptive_short_sleep_ms after going to sleep doubles the program's
-  /// threshold (capped at 64x base); the coordinator decays it back each
-  /// period. Off by default (the paper fixes T_SLEEP = k).
+  /// threshold (capped at 64 x max(base, 1)); the coordinator decays it
+  /// back each period. Same rule as the simulator (AdaptiveTSleep). Off
+  /// by default (the paper fixes T_SLEEP = k).
   bool adaptive_t_sleep = false;
   /// "Premature sleep" horizon; <= 0 selects coordinator_period_ms.
   double adaptive_short_sleep_ms = -1.0;

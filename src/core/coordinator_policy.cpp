@@ -32,7 +32,7 @@ WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) const noexcept {
   n_w = std::min(n_w, s.sleeping_workers);
 
   const unsigned n_f = s.free_cores;
-  const unsigned n_r = s.reclaimable_cores;
+  const unsigned n_r = reclaim_ ? s.reclaimable_cores : 0;
   if (n_w <= n_f) {
     // Case 1: enough free cores for everyone we want to wake.
     d.wake_on_free = n_w;
@@ -50,15 +50,8 @@ WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) const noexcept {
 }
 
 CoordinatorDriver::CoordinatorDriver(CoreTable& table, ProgramId pid,
-                                     std::uint64_t seed)
-    : CoordinatorDriver(table, pid, seed, nullptr, 0) {}
-
-CoordinatorDriver::CoordinatorDriver(CoreTable& table, ProgramId pid,
-                                     std::uint64_t seed, const Topology* topo,
-                                     CoreId home_core)
-    : table_(&table), pid_(pid), topo_(topo), home_core_(home_core) {
-  (void)seed;  // selection is deterministic now; see class comment
-}
+                                     const Topology* topo, CoreId home_core)
+    : table_(&table), pid_(pid), topo_(topo), home_core_(home_core) {}
 
 DemandSnapshot CoordinatorDriver::snapshot_cores() const noexcept {
   DemandSnapshot s;
@@ -112,6 +105,42 @@ AcquireResult CoordinatorDriver::acquire(const WakeDecision& decision) {
     }
   }
   return won;
+}
+
+CoordinatorStep run_coordinator_step(const CoordinatorPolicy& policy,
+                                     CoordinatorDriver* driver,
+                                     const DemandSnapshot& demand,
+                                     unsigned num_workers, const WakeFn& wake) {
+  CoordinatorStep step;
+  step.snapshot = demand;
+  if (driver != nullptr) {
+    const DemandSnapshot cores = driver->snapshot_cores();
+    step.snapshot.free_cores = cores.free_cores;
+    step.snapshot.reclaimable_cores = cores.reclaimable_cores;
+  } else {
+    // DWS-NC: no core exchange; every sleeping worker can be woken in
+    // place (the OS time-shares the cores underneath, §4.2).
+    step.snapshot.free_cores = step.snapshot.sleeping_workers;
+    step.snapshot.reclaimable_cores = 0;
+  }
+  step.decision = policy.decide(step.snapshot);
+  if (step.decision.total() == 0) return step;
+
+  if (driver != nullptr) {
+    step.won = driver->acquire(step.decision);
+    for (CoreId c : step.won.claimed) {
+      step.woken += wake(c, WakeReason::kClaimed) ? 1 : 0;
+    }
+    for (CoreId c : step.won.reclaimed) {
+      step.woken += wake(c, WakeReason::kReclaimed) ? 1 : 0;
+    }
+  } else {
+    const unsigned need = step.decision.total();
+    for (CoreId c = 0; c < num_workers && step.woken < need; ++c) {
+      step.woken += wake(c, WakeReason::kInPlace) ? 1 : 0;
+    }
+  }
+  return step;
 }
 
 namespace {

@@ -8,7 +8,8 @@
 //
 // Like StealPolicy this is pure, platform-independent logic shared by the
 // thread runtime and the simulator. The table-touching part (which
-// concrete cores to claim/reclaim) lives in CoordinatorDriver.
+// concrete cores to claim/reclaim) lives in CoordinatorDriver, and
+// run_coordinator_step is the whole per-period step both executors call.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,11 @@ class CoordinatorPolicy {
   /// `wake_threshold`: minimum average backlog per active worker before
   /// any wake-up happens (Config::wake_threshold; the paper's "a few
   /// tasks on average" guard, 1.0 reproduces Eq. 1 exactly).
-  explicit constexpr CoordinatorPolicy(double wake_threshold = 1.0) noexcept
-      : wake_threshold_(wake_threshold) {}
+  /// `reclaim`: false treats N_r as 0, so lent home cores are never taken
+  /// back (the simulator's SimParams::disable_reclaim ablation).
+  explicit constexpr CoordinatorPolicy(double wake_threshold = 1.0,
+                                       bool reclaim = true) noexcept
+      : wake_threshold_(wake_threshold), reclaim_(reclaim) {}
 
   /// Apply Eq. 1 and the three §3.3 cases. The result is additionally
   /// capped at the number of sleeping workers (we cannot wake workers that
@@ -56,6 +60,7 @@ class CoordinatorPolicy {
 
  private:
   double wake_threshold_;
+  bool reclaim_;
 };
 
 /// Cores actually obtained by one CoordinatorDriver::acquire call.
@@ -85,15 +90,12 @@ struct AcquireResult {
 /// ranges rather than interleaving at random.
 class CoordinatorDriver {
  public:
-  /// `seed` is retained for constructor-signature stability (selection
-  /// used to be randomized); it is no longer consumed.
-  CoordinatorDriver(CoreTable& table, ProgramId pid, std::uint64_t seed);
-
-  /// Topology-aware ordering: candidates are ranked by distance tier from
+  /// With a topology, candidates are ranked by distance tier from
   /// `home_core` (the program's home-partition anchor), then core id.
   /// `topo`, when non-null, must outlive the driver.
-  CoordinatorDriver(CoreTable& table, ProgramId pid, std::uint64_t seed,
-                    const Topology* topo, CoreId home_core);
+  explicit CoordinatorDriver(CoreTable& table, ProgramId pid,
+                             const Topology* topo = nullptr,
+                             CoreId home_core = 0);
 
   /// Build the table-derived half of a demand snapshot (N_f, N_r).
   [[nodiscard]] DemandSnapshot snapshot_cores() const noexcept;
@@ -112,6 +114,33 @@ class CoordinatorDriver {
   const Topology* topo_ = nullptr;
   CoreId home_core_ = 0;
 };
+
+// ---- The coordinator step shared by both executors ----
+
+/// Why the step is waking the worker on a core.
+enum class WakeReason : int { kClaimed, kReclaimed, kInPlace };
+
+/// The executor's wake: wake this program's worker on `core`, returning
+/// true iff it was asleep.
+using WakeFn = std::function<bool(CoreId core, WakeReason reason)>;
+
+/// The record of one coordinator step.
+struct CoordinatorStep {
+  DemandSnapshot snapshot;
+  WakeDecision decision;
+  AcquireResult won;   ///< empty for DWS-NC (no core exchange)
+  unsigned woken = 0;  ///< wake calls that found a sleeper
+};
+
+/// One §3.3 coordinator step for an executor with `num_workers` workers
+/// and the given demand (N_b, N_a, sleeping). N_f and N_r come from
+/// `driver`; without one (DWS-NC) N_f = sleeping and N_r = 0. Then
+/// decide, acquire, and wake the worker on each claimed core, then on
+/// each reclaimed one; DWS-NC wakes the first sleepers in core order.
+CoordinatorStep run_coordinator_step(const CoordinatorPolicy& policy,
+                                     CoordinatorDriver* driver,
+                                     const DemandSnapshot& demand,
+                                     unsigned num_workers, const WakeFn& wake);
 
 // ---- Crash tolerance: stale-owner sweeping ----
 

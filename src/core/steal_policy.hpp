@@ -31,8 +31,8 @@ class StealPolicy {
   /// kClassic returns kRetry forever and never resets, so a long-starved
   /// busy-spinning worker would otherwise increment a plain int past
   /// INT_MAX — signed overflow, UB. The cap is far above any meaningful
-  /// threshold (T_SLEEP tops out at 64x the core count); thresholds are
-  /// clamped to it so `failed_steals_ >= t_sleep_` keeps firing after
+  /// threshold (see AdaptiveTSleep::escalate for the largest); thresholds
+  /// are clamped to it so `failed_steals_ >= t_sleep_` keeps firing after
   /// saturation.
   static constexpr int kFailedStealsSaturation = 1 << 20;
 
@@ -92,6 +92,41 @@ class StealPolicy {
   SchedMode mode_;
   int t_sleep_;
   int failed_steals_ = 0;
+};
+
+/// Adaptive T_SLEEP (§6 extension; Config::adaptive_t_sleep): the paper
+/// fixes T_SLEEP = k and sketches adaptivity as future work. A sleep cut
+/// short means the threshold fired prematurely, so the program-wide
+/// threshold doubles; each coordinator period decays it back toward the
+/// configured base. The state is a double so the decay is not lost to
+/// truncation; workers compare against threshold(state). Both executors
+/// step their state with these functions only.
+struct AdaptiveTSleep {
+  /// A sleep of `slept` (any time unit) was premature when shorter than
+  /// `horizon`; a horizon <= 0 means one coordinator `period`.
+  [[nodiscard]] static constexpr bool premature(double slept, double horizon,
+                                                double period) noexcept {
+    return slept < (horizon > 0.0 ? horizon : period);
+  }
+  /// Double (from 0, step to 1), capped at 64 x max(base, 1).
+  [[nodiscard]] static constexpr double escalate(double cur,
+                                                 int base) noexcept {
+    const double cap = 64.0 * (base > 1 ? base : 1);
+    const double next = cur > 0.0 ? 2.0 * cur : 1.0;
+    return next < cap ? next : cap;
+  }
+  /// Multiplicative decay toward (never below) `base`.
+  [[nodiscard]] static constexpr double decay(double cur, int base) noexcept {
+    const double next = cur * 0.97;
+    return next > base ? next : base;
+  }
+  /// The integer threshold a worker's StealPolicy compares against,
+  /// clamped to StealPolicy's rail first so the conversion stays defined
+  /// for any base.
+  [[nodiscard]] static constexpr int threshold(double cur) noexcept {
+    constexpr int kRail = StealPolicy::kFailedStealsSaturation;
+    return cur < kRail ? static_cast<int>(cur) : kRail;
+  }
 };
 
 }  // namespace dws

@@ -6,23 +6,15 @@
 
 namespace dws::rt {
 
-Coordinator::Coordinator(Scheduler& sched, double period_ms,
-                         double wake_threshold, std::uint64_t seed)
-    : sched_(sched), period_ms_(period_ms), policy_(wake_threshold) {
+Coordinator::Coordinator(Scheduler& sched)
+    : sched_(sched), policy_(sched.config().wake_threshold) {
   if (mode_space_shares(sched_.mode())) {
     // Anchor the topology-aware ordering at the program's first home core
     // (the home partition is contiguous, so one anchor represents it).
-    CoreId home_core = 0;
-    for (CoreId c = 0; c < sched_.num_workers(); ++c) {
-      if (sched_.table()->home_of(c) == sched_.pid()) {
-        home_core = c;
-        break;
-      }
-    }
-    driver_ = std::make_unique<CoordinatorDriver>(*sched_.table(),
-                                                  sched_.pid(), seed,
-                                                  &sched_.topology(),
-                                                  home_core);
+    const std::vector<CoreId> home = sched_.table()->home_cores(sched_.pid());
+    driver_ = std::make_unique<CoordinatorDriver>(
+        *sched_.table(), sched_.pid(), &sched_.topology(),
+        home.empty() ? 0 : home.front());
     if (sched_.config().stale_after_periods > 0) {
       sweeper_ = std::make_unique<StaleSweeper>(
           *sched_.table(), sched_.pid(), sched_.config().stale_after_periods);
@@ -46,7 +38,8 @@ void Coordinator::stop() {
 }
 
 void Coordinator::thread_main() {
-  const auto period = std::chrono::duration<double, std::milli>(period_ms_);
+  const auto period = std::chrono::duration<double, std::milli>(
+      sched_.config().coordinator_period_ms);
   std::unique_lock<std::mutex> lock(m_);
   while (!stop_requested_) {
     // Sleeping every T ms (§3.4). nudge() — a notify without stop — cuts
@@ -67,7 +60,9 @@ void Coordinator::nudge() noexcept {
 
 void Coordinator::tick() {
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  if (sched_.config().adaptive_t_sleep) sched_.decay_t_sleep();
+  if (sched_.config().adaptive_t_sleep) {
+    sched_.step_t_sleep(&AdaptiveTSleep::decay);
+  }
 
   if (driver_ != nullptr) {
     // Liveness: tell co-runners we are alive, then recover from any that
@@ -86,48 +81,24 @@ void Coordinator::tick() {
     }
   }
 
-  DemandSnapshot s;
-  s.queued_tasks = sched_.queued_tasks();          // N_b
-  s.active_workers = sched_.active_workers();      // N_a
-  s.sleeping_workers = sched_.sleeping_workers();
-  if (driver_ != nullptr) {
-    const DemandSnapshot cores = driver_->snapshot_cores();
-    s.free_cores = cores.free_cores;               // N_f
-    s.reclaimable_cores = cores.reclaimable_cores; // N_r
-  } else {
-    // DWS-NC: no core exchange; every sleeping worker can be woken in
-    // place (the OS time-shares the cores underneath, §4.2).
-    s.free_cores = s.sleeping_workers;
-    s.reclaimable_cores = 0;
-  }
-
-  const WakeDecision d = policy_.decide(s);
-  if (d.total() == 0) return;
-
-  if (driver_ != nullptr) {
-    const AcquireResult won = driver_->acquire(d);
-    cores_claimed_.fetch_add(won.claimed.size(), std::memory_order_relaxed);
-    cores_reclaimed_.fetch_add(won.reclaimed.size(),
-                               std::memory_order_relaxed);
-    for (CoreId c : won.claimed) {
-      if (sched_.worker_at(c).wake()) {
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    for (CoreId c : won.reclaimed) {
-      if (sched_.worker_at(c).wake()) {
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    unsigned need = d.total();
-    for (unsigned i = 0; i < sched_.num_workers() && need > 0; ++i) {
-      if (sched_.worker_at(i).wake()) {
-        --need;
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
+  const DemandSnapshot demand{.queued_tasks = sched_.queued_tasks(),
+                              .active_workers = sched_.active_workers(),
+                              .sleeping_workers = sched_.sleeping_workers()};
+  // Counted per wake, not from the returned record: a claim or reclaim is
+  // counted before its worker wakes, so a stats() reader that has seen
+  // the woken worker's work (through the wake's mutex) also sees it.
+  run_coordinator_step(
+      policy_, driver_.get(), demand, sched_.num_workers(),
+      [this](CoreId c, WakeReason why) {
+        if (why == WakeReason::kClaimed) {
+          cores_claimed_.fetch_add(1, std::memory_order_relaxed);
+        } else if (why == WakeReason::kReclaimed) {
+          cores_reclaimed_.fetch_add(1, std::memory_order_relaxed);
+        }
+        const bool woke = sched_.worker_at(c).wake();
+        if (woke) wakes_.fetch_add(1, std::memory_order_relaxed);
+        return woke;
+      });
 }
 
 }  // namespace dws::rt

@@ -1,7 +1,7 @@
 // The per-program coordinator thread (§3.3): every T milliseconds it
-// snapshots the program's demand (N_b, N_a) and the table state (N_f,
-// N_r), runs CoordinatorPolicy, acquires cores, and wakes the sleeping
-// workers on them.
+// heartbeats, sweeps stale co-runners, and runs the shared coordinator
+// step (run_coordinator_step: snapshot, decide, acquire, wake) over this
+// program's workers.
 //
 // Only the sleeping modes (DWS, DWS-NC) get a live coordinator; for other
 // modes the scheduler does not construct one, matching the paper's claim
@@ -25,8 +25,8 @@ class Scheduler;
 
 class Coordinator {
  public:
-  Coordinator(Scheduler& sched, double period_ms, double wake_threshold,
-              std::uint64_t seed);
+  /// Period T and the wake threshold come from `sched.config()`.
+  explicit Coordinator(Scheduler& sched);
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
   ~Coordinator();
@@ -70,7 +70,6 @@ class Coordinator {
   void thread_main();
 
   Scheduler& sched_;
-  const double period_ms_;
   CoordinatorPolicy policy_;
   std::unique_ptr<CoordinatorDriver> driver_;  // only for table-using modes
   std::unique_ptr<StaleSweeper> sweeper_;      // crash tolerance (optional)

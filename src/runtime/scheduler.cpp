@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 
@@ -49,9 +48,7 @@ Scheduler::Scheduler(const Config& cfg, CoreTable* shared_table) : cfg_(cfg) {
   for (auto& w : workers_) w->start();
 
   if (mode_sleeps(cfg_.mode)) {
-    coordinator_ = std::make_unique<Coordinator>(
-        *this, cfg_.coordinator_period_ms, cfg_.wake_threshold,
-        cfg_.seed ^ 0xC00D1E5EULL);
+    coordinator_ = std::make_unique<Coordinator>(*this);
     coordinator_->start();
   }
 }
@@ -221,24 +218,13 @@ unsigned Scheduler::sleeping_workers() const noexcept {
   return n;
 }
 
-void Scheduler::escalate_t_sleep() noexcept {
+void Scheduler::step_t_sleep(double (*step)(double, int)) noexcept {
   const int base = cfg_.effective_t_sleep(cfg_.num_cores);
-  const int cap = base > 0 ? 64 * base : 64;
-  int cur = cur_t_sleep_.load(std::memory_order_relaxed);
-  int next = std::min(cap, cur > 0 ? cur * 2 : 1);
-  while (next > cur && !cur_t_sleep_.compare_exchange_weak(
-                           cur, next, std::memory_order_relaxed)) {
-    next = std::min(cap, cur > 0 ? cur * 2 : 1);
-  }
-}
-
-void Scheduler::decay_t_sleep() noexcept {
-  const int base = cfg_.effective_t_sleep(cfg_.num_cores);
-  int cur = cur_t_sleep_.load(std::memory_order_relaxed);
-  int next = std::max(base, static_cast<int>(cur * 0.97));
-  while (next < cur && !cur_t_sleep_.compare_exchange_weak(
-                           cur, next, std::memory_order_relaxed)) {
-    next = std::max(base, static_cast<int>(cur * 0.97));
+  double cur = cur_t_sleep_.load(std::memory_order_relaxed);
+  double next = step(cur, base);
+  while (next != cur && !cur_t_sleep_.compare_exchange_weak(
+                            cur, next, std::memory_order_relaxed)) {
+    next = step(cur, base);
   }
 }
 

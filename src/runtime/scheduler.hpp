@@ -19,6 +19,7 @@
 
 #include "core/config.hpp"
 #include "core/core_table.hpp"
+#include "core/steal_policy.hpp"
 #include "core/topology.hpp"
 #include "core/types.hpp"
 #include "runtime/coordinator.hpp"
@@ -203,17 +204,16 @@ class Scheduler {
   /// The program's current threshold (== the configured one when the
   /// adaptive controller is off).
   [[nodiscard]] int current_t_sleep() const noexcept {
-    return cur_t_sleep_.load(std::memory_order_relaxed);
+    return AdaptiveTSleep::threshold(
+        cur_t_sleep_.load(std::memory_order_relaxed));
   }
-  /// Called by a worker whose sleep was cut short: double the threshold,
-  /// capped at 64x the configured base.
-  void escalate_t_sleep() noexcept;
-  /// Called by the coordinator each period: decay toward the base.
-  void decay_t_sleep() noexcept;
+  /// CAS the program's state to step(state, base) for one AdaptiveTSleep
+  /// step: escalate from a worker whose sleep was cut short, decay from
+  /// the coordinator each period.
+  void step_t_sleep(double (*step)(double, int)) noexcept;
 
  private:
   friend class Worker;
-  friend class Coordinator;
   friend struct dws::layout::Access;  // layout_audit reads private layouts
 
   /// `w` is the spawning worker when it belongs to this scheduler (saves
@@ -266,7 +266,8 @@ class Scheduler {
   // lines so a gate broadcast does not invalidate every reader.
   alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<bool> shutdown_{
       false};
-  DWS_SHARED std::atomic<int> cur_t_sleep_{0};  // resolved in the constructor
+  // AdaptiveTSleep state; resolved to the base in the constructor.
+  DWS_SHARED std::atomic<double> cur_t_sleep_{0.0};
 #ifndef DWS_RACE_DISABLED
   DWS_SHARED std::atomic<race::ExecHook*> exec_hook_{nullptr};
 #endif

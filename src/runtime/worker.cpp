@@ -110,18 +110,15 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     state_.store(static_cast<int>(State::kActive), std::memory_order_release);
   }
   ++stats_.wakes;
-  if (sched_.config().adaptive_t_sleep && !sched_.shutdown_requested()) {
-    // Adaptive T_SLEEP (§6 extension): a sleep cut short means the
-    // threshold fired prematurely — escalate it.
-    const double horizon_ms =
-        sched_.config().adaptive_short_sleep_ms > 0.0
-            ? sched_.config().adaptive_short_sleep_ms
-            : sched_.config().coordinator_period_ms;
-    const double slept_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - slept_at)
-            .count();
-    if (slept_ms < horizon_ms) sched_.escalate_t_sleep();
+  const Config& cfg = sched_.config();
+  if (cfg.adaptive_t_sleep && !sched_.shutdown_requested()) {
+    const double slept_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - slept_at)
+                                .count();
+    if (AdaptiveTSleep::premature(slept_ms, cfg.adaptive_short_sleep_ms,
+                                  cfg.coordinator_period_ms)) {
+      sched_.step_t_sleep(&AdaptiveTSleep::escalate);
+    }
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <queue>
 #include <stdexcept>
@@ -90,7 +88,7 @@ struct SimEngine::Impl {
     double run_start = 0.0;
     CoordinatorPolicy policy{1.0};
     std::unique_ptr<CoordinatorDriver> driver;
-    std::uint64_t ticks = 0, claims = 0, reclaims = 0, coord_wakes = 0;
+    std::uint64_t ticks = 0, claims = 0, reclaims = 0;
     CoreId start_core = 0;
     /// Work-sharing variant (§4.4): the per-program central task FIFO.
     std::deque<NodeId> central;
@@ -197,7 +195,8 @@ struct SimEngine::Impl {
       p2.spec = specs[pi];
       p2.pid = table->register_program();
       p2.base_joins = p2.spec.dag->join_counts();
-      p2.policy = CoordinatorPolicy(params.wake_threshold);
+      p2.policy =
+          CoordinatorPolicy(params.wake_threshold, !params.disable_reclaim);
       p2.cur_t_sleep = static_cast<double>(params.effective_t_sleep());
 
       const bool shares = mode_space_shares(p2.spec.mode);
@@ -209,17 +208,11 @@ struct SimEngine::Impl {
         }
       }
       // Start core: first home core, else round-robin fallback.
-      p2.start_core = pi % k;
-      for (CoreId c = 0; c < k; ++c) {
-        if (table->home_of(c) == p2.pid) {
-          p2.start_core = c;
-          break;
-        }
-      }
+      const std::vector<CoreId> home = table->home_cores(p2.pid);
+      p2.start_core = home.empty() ? pi % k : home.front();
       if (p2.spec.mode == SchedMode::kDws) {
-        p2.driver = std::make_unique<CoordinatorDriver>(
-            *table, p2.pid, params.seed ^ (0xC0FFEEULL * (pi + 1)), &topo,
-            p2.start_core);
+        p2.driver = std::make_unique<CoordinatorDriver>(*table, p2.pid, &topo,
+                                                        p2.start_core);
       }
 
       for (CoreId c = 0; c < k; ++c) {
@@ -303,13 +296,13 @@ struct SimEngine::Impl {
                                        // ones return via reclaim (§3.3)
       for (CoreId c = 0; c < k; ++c) {
         if (table->home_of(c) == p.pid && table->user_of(c) == p.pid) {
-          wake_worker(widx(pi, c), /*from_coordinator=*/false);
+          wake_worker(widx(pi, c));
         }
       }
     } else if (p.spec.mode == SchedMode::kDwsNc) {
       // A fresh DWS-NC launch starts all k workers active (time-sharing).
       for (CoreId c = 0; c < k; ++c) {
-        wake_worker(widx(pi, c), /*from_coordinator=*/false);
+        wake_worker(widx(pi, c));
       }
     }
   }
@@ -619,24 +612,12 @@ struct SimEngine::Impl {
     }
   }
 
-  /// Adaptive T_SLEEP (§6 extension): called when a worker wakes. A sleep
-  /// that lasted less than the short-sleep horizon means the threshold
-  /// triggered prematurely — double it (capped); the coordinator tick
-  /// decays it back toward the base value.
-  void adapt_t_sleep_on_wake(const WorkerSt& w) {
-    if (!params.adaptive_t_sleep) return;
-    const double horizon = params.adaptive_short_sleep_us > 0.0
-                               ? params.adaptive_short_sleep_us
-                               : params.coordinator_period_us;
-    if (now - w.slept_at >= horizon) return;
-    ProgSt& p = progs[w.prog];
-    const double cap = 64.0 * static_cast<double>(params.effective_t_sleep());
-    p.cur_t_sleep = std::min(cap, p.cur_t_sleep * 2.0);
-    apply_t_sleep(w.prog);
-  }
-
-  void apply_t_sleep(unsigned pi) {
-    const int threshold = static_cast<int>(progs[pi].cur_t_sleep);
+  /// Step program `pi`'s adaptive T_SLEEP state and push the new
+  /// threshold to its workers.
+  void step_t_sleep(unsigned pi, double (*step)(double, int)) {
+    ProgSt& p = progs[pi];
+    p.cur_t_sleep = step(p.cur_t_sleep, params.effective_t_sleep());
+    const int threshold = AdaptiveTSleep::threshold(p.cur_t_sleep);
     for (CoreId c = 0; c < k; ++c) {
       workers[widx(pi, c)].policy.set_t_sleep(threshold);
     }
@@ -804,95 +785,61 @@ struct SimEngine::Impl {
     }
   }
 
+  /// N_b, N_a and sleeping workers of program pi.
+  [[nodiscard]] DemandSnapshot demand_of(unsigned pi) const {
+    DemandSnapshot s;
+    s.queued_tasks = progs[pi].central.size();  // work-sharing FIFO
+    for (CoreId c = 0; c < k; ++c) {
+      const WorkerSt& w = workers[widx(pi, c)];
+      s.queued_tasks += w.pool.size();
+      switch (w.st) {
+        case WState::kSleeping: ++s.sleeping_workers; break;
+        case WState::kParked: break;
+        default: ++s.active_workers; break;
+      }
+    }
+    return s;
+  }
+
   void on_coord_tick(unsigned pi) {
     ProgSt& p = progs[pi];
     ++p.ticks;
-
-    if (params.adaptive_t_sleep) {
-      // Multiplicative decay back toward the base threshold: premature
-      // sleeps push the threshold up quickly; calm periods relax it.
-      const auto base = static_cast<double>(params.effective_t_sleep());
-      const double decayed = std::max(base, p.cur_t_sleep * 0.97);
-      if (decayed != p.cur_t_sleep) {
-        p.cur_t_sleep = decayed;
-        apply_t_sleep(pi);
-      }
-    }
-
-    DemandSnapshot s;
-    unsigned sleeping = 0, active = 0;
-    std::uint64_t backlog = p.central.size();  // work-sharing FIFO (if any)
-    for (CoreId c = 0; c < k; ++c) {
-      const WorkerSt& w = workers[widx(pi, c)];
-      backlog += w.pool.size();
-      switch (w.st) {
-        case WState::kSleeping: ++sleeping; break;
-        case WState::kParked: break;
-        default: ++active; break;
-      }
-    }
-    s.queued_tasks = backlog;
-    s.active_workers = active;
-    s.sleeping_workers = sleeping;
-    if (p.driver) {
-      const DemandSnapshot cs = p.driver->snapshot_cores();
-      s.free_cores = cs.free_cores;
-      s.reclaimable_cores =
-          params.disable_reclaim ? 0 : cs.reclaimable_cores;
-    } else {
-      s.free_cores = sleeping;  // DWS-NC: wake in place
-      s.reclaimable_cores = 0;
-    }
-
-    const WakeDecision d = p.policy.decide(s);
-    if (const char* dbg = getenv("DWS_SIM_TRACE"); dbg && *dbg) {
-      fprintf(stderr, "t=%.1fms p=%u Nb=%llu Na=%u slp=%u Nf=%u Nr=%u -> free=%u recl=%u\n",
-              now/1000.0, pi, (unsigned long long)s.queued_tasks, s.active_workers,
-              s.sleeping_workers, s.free_cores, s.reclaimable_cores,
-              d.wake_on_free, d.wake_on_reclaim);
-    }
-    if (d.total() > 0) {
-      if (p.driver) {
-        const AcquireResult won = p.driver->acquire(d);
-        p.claims += won.claimed.size();
-        p.reclaims += won.reclaimed.size();
-        for (CoreId c : won.claimed) {
-          emit(TraceKind::kClaim, pi, c);
-          wake_worker(widx(pi, c));
-        }
-        for (CoreId c : won.reclaimed) {
-          emit(TraceKind::kReclaim, pi, c);
-          wake_worker(widx(pi, c));
-        }
-      } else {
-        unsigned need = d.total();
-        for (CoreId c = 0; c < k && need > 0; ++c) {
-          const unsigned wi = widx(pi, c);
-          if (workers[wi].st == WState::kSleeping) {
-            wake_worker(wi);
-            --need;
-          }
-        }
-      }
-    }
+    if (params.adaptive_t_sleep) step_t_sleep(pi, &AdaptiveTSleep::decay);
+    // A claim or reclaim is traced before the wake it causes.
+    const CoordinatorStep step = run_coordinator_step(
+        p.policy, p.driver.get(), demand_of(pi), k,
+        [this, pi](CoreId c, WakeReason why) {
+          if (why == WakeReason::kClaimed) emit(TraceKind::kClaim, pi, c);
+          if (why == WakeReason::kReclaimed) emit(TraceKind::kReclaim, pi, c);
+          return wake_worker(widx(pi, c));
+        });
+    p.claims += step.won.claimed.size();
+    p.reclaims += step.won.reclaimed.size();
     push_event(now + params.coordinator_period_us, Ev::kCoordTick, pi);
   }
 
-  void wake_worker(unsigned wi, bool from_coordinator = true) {
+  /// Returns true iff the worker was asleep.
+  bool wake_worker(unsigned wi) {
     WorkerSt& w = workers[wi];
-    if (w.st != WState::kSleeping) return;
+    if (w.st != WState::kSleeping) return false;
     w.st = WState::kWaking;
     ++w.wakes;
     emit(TraceKind::kWake, w.prog, w.core);
-    if (from_coordinator) ++progs[w.prog].coord_wakes;
     push_event(now + params.wake_latency_us, Ev::kWake, wi);
+    return true;
   }
 
   void on_wake(unsigned wi) {
     WorkerSt& w = workers[wi];
     if (w.st != WState::kWaking) return;  // defensive
     w.st = WState::kRunnable;
-    adapt_t_sleep_on_wake(w);
+    // Adaptive T_SLEEP: a sleep cut short escalates the threshold.
+    if (params.adaptive_t_sleep &&
+        AdaptiveTSleep::premature(now - w.slept_at,
+                                  params.adaptive_short_sleep_us,
+                                  params.coordinator_period_us)) {
+      step_t_sleep(w.prog, &AdaptiveTSleep::escalate);
+    }
     CoreSt& core = cores[w.core];
     core.runq.push_back(wi);
     if (core.running == kNoWorker) pick_next(w.core);

@@ -7,8 +7,8 @@
 //    real runtime uses, with per-op costs (deque pop, steal attempt);
 //  * the OS layer time-shares each core round-robin with a quantum; ABP
 //    yield() requeues the caller at the tail of its core's run queue;
-//  * DWS coordinators tick every T µs and run the *same*
-//    CoordinatorPolicy/CoordinatorDriver against a real CoreTable;
+//  * DWS coordinators tick every T µs and run the *same* coordinator
+//    step (run_coordinator_step) against a real CoreTable;
 //  * a two-level cache-warmth model (private per-core + per-socket LLC)
 //    slows memory-intensive tasks down when another program's execution
 //    has evicted this program's working set (§2.1 drawback 2, §4.1 p-7).

@@ -81,13 +81,15 @@ struct SimParams {
   double coordinator_period_us = 10000; ///< T = 10 ms (§3.4)
   double wake_threshold = 1.0;
   /// Ablation: when true, DWS coordinators never reclaim lent home cores
-  /// (N_r forced to 0) — isolates the value of the take-back constraint.
+  /// (CoordinatorPolicy treats N_r as 0) — isolates the value of the
+  /// take-back constraint.
   bool disable_reclaim = false;
   /// Extension (§6 future work): adapt T_SLEEP online per program. A
   /// worker woken less than adaptive_short_sleep_us after it slept was
   /// put to sleep prematurely: the program's threshold doubles (capped
-  /// at 64k); each coordinator tick decays it multiplicatively back
-  /// toward the base value. Off by default (the paper uses a fixed k).
+  /// at 64 x max(base, 1)); each coordinator tick decays it
+  /// multiplicatively back toward the base value. Same rule as the
+  /// runtime (AdaptiveTSleep). Off by default (the paper uses a fixed k).
   bool adaptive_t_sleep = false;
   /// "Premature sleep" horizon; <= 0 selects the coordinator period.
   double adaptive_short_sleep_us = -1.0;

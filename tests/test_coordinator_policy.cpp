@@ -1,10 +1,12 @@
-// Tests for the coordinator wake-up model (Eq. 1 + the three §3.3 cases)
-// and for CoordinatorDriver's table interaction, including the paper's
-// three constraints as properties.
+// Tests for the coordinator wake-up model (Eq. 1 + the three §3.3 cases),
+// for CoordinatorDriver's table interaction, including the paper's three
+// constraints as properties, and for the shared coordinator step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/coordinator_policy.hpp"
@@ -179,7 +181,7 @@ TEST(CoordinatorPolicy, WakeCountIsMonotoneInBacklog) {
 TEST(CoordinatorDriver, AcquiresRequestedFreeCores) {
   CoreTableLocal local(16, 2);
   CoreTable& t = local.table();
-  CoordinatorDriver drv(t, /*pid=*/1, /*seed=*/42);
+  CoordinatorDriver drv(t, /*pid=*/1);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 4});
   EXPECT_EQ(won.claimed.size(), 4u);
   EXPECT_TRUE(won.reclaimed.empty());
@@ -193,7 +195,7 @@ TEST(CoordinatorDriver, AcquireStopsWhenTableRunsDry) {
   CoreTableLocal local(4, 2);
   CoreTable& t = local.table();
   for (CoreId c = 0; c < 3; ++c) ASSERT_TRUE(t.try_claim(c, 2));
-  CoordinatorDriver drv(t, 1, 7);
+  CoordinatorDriver drv(t, 1);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 4});
   ASSERT_EQ(won.claimed.size(), 1u);
   EXPECT_EQ(won.claimed[0], 3u);
@@ -207,7 +209,7 @@ TEST(CoordinatorDriver, ReclaimTakesOnlyHomeCores) {
   ASSERT_TRUE(t.try_claim(1, 2));
   ASSERT_TRUE(t.try_claim(8, 2));
   ASSERT_TRUE(t.try_claim(9, 2));
-  CoordinatorDriver drv(t, 1, 1);
+  CoordinatorDriver drv(t, 1);
   const auto won = drv.acquire(WakeDecision{.wake_on_reclaim = 8});
   EXPECT_EQ(won.reclaimed.size(), 2u);  // only the two borrowed home cores
   EXPECT_TRUE(won.claimed.empty());
@@ -222,18 +224,17 @@ TEST(CoordinatorDriver, SnapshotReflectsTable) {
   CoreTable& t = local.table();
   ASSERT_TRUE(t.try_claim(0, 2));   // p2 borrows p1's core
   ASSERT_TRUE(t.try_claim(8, 2));   // p2 uses own core
-  CoordinatorDriver drv(t, 1, 3);
+  CoordinatorDriver drv(t, 1);
   const DemandSnapshot s = drv.snapshot_cores();
   EXPECT_EQ(s.free_cores, 14u);
   EXPECT_EQ(s.reclaimable_cores, 1u);
 }
 
 TEST(CoordinatorDriver, SelectionIsDeterministicAcrossSeeds) {
-  // The grant order is a property of the table + topology, not of the
-  // seed: two drivers over identical tables must claim identical cores
-  // even when seeded differently (selection used to be a seeded shuffle).
+  // The grant order is a property of the table + topology alone: two
+  // drivers over identical tables must claim identical cores.
   CoreTableLocal a(16, 2), b(16, 2);
-  CoordinatorDriver da(a.table(), 1, 999), db(b.table(), 1, 31337);
+  CoordinatorDriver da(a.table(), 1), db(b.table(), 1);
   const auto wa = da.acquire(WakeDecision{.wake_on_free = 6});
   const auto wb = db.acquire(WakeDecision{.wake_on_free = 6});
   EXPECT_EQ(wa.claimed, wb.claimed);
@@ -246,7 +247,7 @@ TEST(CoordinatorDriver, EquallyEligibleCoresAreGrantedByAscendingId) {
   // of order_candidates (or of free_cores()) grants {15,14,13,12} and
   // fails here.
   CoreTableLocal local(16, 2);
-  CoordinatorDriver drv(local.table(), /*pid=*/1, /*seed=*/0);
+  CoordinatorDriver drv(local.table(), /*pid=*/1);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 4});
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{0, 1, 2, 3}));
 }
@@ -256,7 +257,7 @@ TEST(CoordinatorDriver, ReclaimAlsoGrantsByAscendingId) {
   CoreTable& t = local.table();
   // p2 borrows three of p1's home cores (p1 homes 0-3).
   for (CoreId c = 0; c < 3; ++c) ASSERT_TRUE(t.try_claim(c, 2));
-  CoordinatorDriver drv(t, 1, 0);
+  CoordinatorDriver drv(t, 1);
   const auto won = drv.acquire(WakeDecision{.wake_on_reclaim = 2});
   EXPECT_EQ(won.reclaimed, (std::vector<CoreId>{0, 1}));
 }
@@ -269,8 +270,7 @@ TEST(CoordinatorDriver, TopologyPrefersCoresNearTheHomeSocket) {
   // the flat tie-break alone would pick.
   const Topology topo = Topology::synthetic(16, 2);
   CoreTableLocal local(16, 2);
-  CoordinatorDriver drv(local.table(), /*pid=*/2, /*seed=*/0, &topo,
-                        /*home_core=*/8);
+  CoordinatorDriver drv(local.table(), /*pid=*/2, &topo, /*home_core=*/8);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 6});
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{8, 9, 10, 11, 12, 13}));
 }
@@ -283,7 +283,7 @@ TEST(CoordinatorDriver, SpillsToRemoteSocketOnlyAfterNearIsExhausted) {
   ASSERT_TRUE(t.try_claim(4, 1));
   ASSERT_TRUE(t.try_claim(5, 1));
   ASSERT_TRUE(t.try_claim(6, 1));
-  CoordinatorDriver drv(t, /*pid=*/2, /*seed=*/0, &topo, /*home_core=*/4);
+  CoordinatorDriver drv(t, /*pid=*/2, &topo, /*home_core=*/4);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 3});
   // The one near core left (7), then the remote socket in id order.
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{7, 0, 1}));
@@ -292,7 +292,7 @@ TEST(CoordinatorDriver, SpillsToRemoteSocketOnlyAfterNearIsExhausted) {
 TEST(CoordinatorDriver, TwoDriversNeverDoubleClaim) {
   CoreTableLocal local(16, 2);
   CoreTable& t = local.table();
-  CoordinatorDriver d1(t, 1, 10), d2(t, 2, 20);
+  CoordinatorDriver d1(t, 1), d2(t, 2);
   const auto w1 = d1.acquire(WakeDecision{.wake_on_free = 10});
   const auto w2 = d2.acquire(WakeDecision{.wake_on_free = 10});
   EXPECT_EQ(w1.total() + w2.total(), 16u);
@@ -301,6 +301,133 @@ TEST(CoordinatorDriver, TwoDriversNeverDoubleClaim) {
   for (CoreId c : w2.claimed) all.insert(c);
   EXPECT_EQ(all.size(), 16u);  // disjoint
 }
+
+// ---- run_coordinator_step with a fake executor ----
+
+// Program 2 of two on an 8-core, 2-socket machine (home cores 4-7). It
+// runs on core 4; program 1 runs on its own cores 0-2 and has borrowed
+// cores 5 and 6. Free: 3 (remote socket) and 7 (home socket).
+class FakeExecutor {
+ public:
+  FakeExecutor(std::uint64_t queued, const std::vector<CoreId>& asleep)
+      : queued_(queued), asleep_(kCores, false) {
+    for (CoreId c : asleep) asleep_[c] = true;
+  }
+  DemandSnapshot demand() const {
+    const auto sleeping = static_cast<unsigned>(
+        std::count(asleep_.begin(), asleep_.end(), true));
+    return snap(queued_, kCores - sleeping, 0, 0, sleeping);
+  }
+  bool wake(CoreId core, WakeReason reason) {
+    if (!asleep_[core]) return false;
+    asleep_[core] = false;
+    woken.emplace_back(core, reason);
+    return true;
+  }
+
+  static constexpr unsigned kCores = 8;
+  std::vector<std::pair<CoreId, WakeReason>> woken;
+
+ private:
+  std::uint64_t queued_;
+  std::vector<bool> asleep_;
+};
+
+struct StepCase {
+  const char* name;
+  bool with_driver;  ///< false: DWS-NC
+  bool reclaim;      ///< CoordinatorPolicy's reclaim input
+  std::uint64_t queued;
+  std::vector<CoreId> asleep;
+  std::vector<std::pair<CoreId, WakeReason>> expect_woken;
+};
+
+class CoordinatorStepTest : public ::testing::TestWithParam<StepCase> {};
+
+TEST_P(CoordinatorStepTest, WakesExactlyTheDecidedWorkers) {
+  const StepCase& tc = GetParam();
+  const Topology topo = Topology::synthetic(FakeExecutor::kCores, 2);
+  CoreTableLocal local(FakeExecutor::kCores, 2);
+  CoreTable& t = local.table();
+  const ProgramId other = t.register_program();
+  const ProgramId me = t.register_program();
+  for (CoreId c : {0u, 1u, 2u, 5u, 6u}) ASSERT_TRUE(t.try_claim(c, other));
+  ASSERT_TRUE(t.try_claim(4, me));
+  std::vector<ProgramId> before;
+  for (CoreId c = 0; c < FakeExecutor::kCores; ++c) {
+    before.push_back(t.user_of(c));
+  }
+
+  CoordinatorDriver driver(t, me, &topo, /*home_core=*/4);
+  FakeExecutor exec(tc.queued, tc.asleep);
+  const CoordinatorStep step = run_coordinator_step(
+      CoordinatorPolicy(1.0, tc.reclaim), tc.with_driver ? &driver : nullptr,
+      exec.demand(), FakeExecutor::kCores,
+      [&exec](CoreId c, WakeReason why) { return exec.wake(c, why); });
+
+  EXPECT_EQ(exec.woken, tc.expect_woken);
+  EXPECT_EQ(step.woken, exec.woken.size());
+  EXPECT_LE(step.woken, step.decision.total());
+  if (tc.with_driver) {
+    // The snapshot reports the table; the ablation acts in the policy.
+    EXPECT_EQ(step.snapshot.free_cores, 2u);
+    EXPECT_EQ(step.snapshot.reclaimable_cores, 2u);
+    if (!tc.reclaim) {
+      EXPECT_EQ(step.decision.wake_on_reclaim, 0u);
+    }
+    // Every core won had a sleeper, and the record says which it was.
+    EXPECT_EQ(step.won.total(), step.woken);
+    std::size_t i = 0;
+    for (CoreId c : step.won.claimed) {
+      EXPECT_EQ(exec.woken[i++], std::make_pair(c, WakeReason::kClaimed));
+    }
+    for (CoreId c : step.won.reclaimed) {
+      EXPECT_EQ(exec.woken[i++], std::make_pair(c, WakeReason::kReclaimed));
+    }
+  } else {
+    EXPECT_EQ(step.won.total(), 0u);
+    EXPECT_EQ(step.woken,
+              std::min(step.decision.total(), step.snapshot.sleeping_workers));
+  }
+  // The table changed exactly on the cores won.
+  for (CoreId c = 0; c < FakeExecutor::kCores; ++c) {
+    const bool won = std::count(step.won.claimed.begin(),
+                                step.won.claimed.end(), c) +
+                         std::count(step.won.reclaimed.begin(),
+                                    step.won.reclaimed.end(), c) >
+                     0;
+    EXPECT_EQ(t.user_of(c), won ? me : before[c]) << "core " << c;
+  }
+}
+
+constexpr auto kClaimed = WakeReason::kClaimed;
+constexpr auto kReclaimed = WakeReason::kReclaimed;
+constexpr auto kInPlace = WakeReason::kInPlace;
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, CoordinatorStepTest,
+    ::testing::Values(
+        // N_w = 40 / 1, capped at 7 sleepers; case 3 takes both free cores
+        // nearest-first (7 on the home socket, then 3), then both
+        // reclaimable ones in id order.
+        StepCase{"DwsClaimsThenReclaims", true, true, 40,
+                 {0, 1, 2, 3, 5, 6, 7},
+                 {{7, kClaimed}, {3, kClaimed}, {5, kReclaimed},
+                  {6, kReclaimed}}},
+        // disable_reclaim: the same demand takes the free cores only.
+        StepCase{"DwsReclaimAblation", true, false, 40,
+                 {0, 1, 2, 3, 5, 6, 7},
+                 {{7, kClaimed}, {3, kClaimed}}},
+        StepCase{"DwsZeroDecision", true, true, 0, {0, 1, 2, 3, 5, 6, 7}, {}},
+        // DWS-NC, N_w = 12 / 4 = 3 of 4 sleepers, in core order.
+        StepCase{"NcWakesNeedInCoreOrder", false, true, 12, {1, 3, 6, 7},
+                 {{1, kInPlace}, {3, kInPlace}, {6, kInPlace}}},
+        // DWS-NC, N_w = 100 but only 4 sleepers.
+        StepCase{"NcWakesAtMostTheSleepers", false, true, 400, {1, 3, 6, 7},
+                 {{1, kInPlace}, {3, kInPlace}, {6, kInPlace},
+                  {7, kInPlace}}},
+        StepCase{"NcZeroDecision", false, true, 0, {1, 3, 6, 7}, {}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------------
 // StaleSweeper: liveness-epoch stall detection + stale-core recovery.

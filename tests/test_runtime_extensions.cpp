@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "runtime/api.hpp"
@@ -81,7 +82,9 @@ TEST(WorkSharingRuntime2, SleepWakeStillWorks) {
   parallel_for_each_index(sched, 0, 500, 4,
                           [&](std::int64_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 500);
-  EXPECT_GT(sched.stats().coordinator_wakes, 0u);
+  // A wake is counted once the worker already runs; wait for the count.
+  EXPECT_TRUE(
+      eventually([&] { return sched.stats().coordinator_wakes > 0; }));
 }
 
 TEST(AdaptiveTSleepRuntime, ThresholdStartsAtBase) {
@@ -97,7 +100,7 @@ TEST(AdaptiveTSleepRuntime, EscalationDoublesAndCaps) {
   cfg.adaptive_t_sleep = true;
   cfg.t_sleep = 4;
   Scheduler sched(cfg);
-  for (int i = 0; i < 100; ++i) sched.escalate_t_sleep();
+  for (int i = 0; i < 100; ++i) sched.step_t_sleep(&AdaptiveTSleep::escalate);
   EXPECT_EQ(sched.current_t_sleep(), 4 * 64);  // capped at 64x base
 }
 
@@ -106,11 +109,35 @@ TEST(AdaptiveTSleepRuntime, DecayReturnsToBase) {
   cfg.adaptive_t_sleep = true;
   cfg.t_sleep = 4;
   Scheduler sched(cfg);
-  sched.escalate_t_sleep();
-  sched.escalate_t_sleep();
+  sched.step_t_sleep(&AdaptiveTSleep::escalate);
+  sched.step_t_sleep(&AdaptiveTSleep::escalate);
   ASSERT_GT(sched.current_t_sleep(), 4);
-  for (int i = 0; i < 500; ++i) sched.decay_t_sleep();
+  for (int i = 0; i < 500; ++i) sched.step_t_sleep(&AdaptiveTSleep::decay);
   EXPECT_EQ(sched.current_t_sleep(), 4);
+}
+
+TEST(AdaptiveTSleepRuntime, TracksTheSharedControllerStepForStep) {
+  // Regression: the runtime once truncated each decay step to int, so from
+  // 16 with base 4 its second decay gave 14 where the shared controller's
+  // double state (which the simulator also steps) gives 15.
+  Config cfg = base_cfg(SchedMode::kDws);
+  cfg.adaptive_t_sleep = true;
+  cfg.t_sleep = 4;
+  cfg.coordinator_period_ms = 1e9;  // no tick decays behind the script
+  Scheduler sched(cfg);
+  double model = 4.0;
+  const std::string script = "EEDDDDDDEDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDD";
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    if (script[i] == 'E') {
+      sched.step_t_sleep(&AdaptiveTSleep::escalate);
+      model = AdaptiveTSleep::escalate(model, 4);
+    } else {
+      sched.step_t_sleep(&AdaptiveTSleep::decay);
+      model = AdaptiveTSleep::decay(model, 4);
+    }
+    ASSERT_EQ(sched.current_t_sleep(), AdaptiveTSleep::threshold(model))
+        << "step " << i << " (" << script[i] << ")";
+  }
 }
 
 TEST(AdaptiveTSleepRuntime, ChurnyWorkloadEscalatesOnline) {

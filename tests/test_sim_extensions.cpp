@@ -233,9 +233,8 @@ TEST(AdaptiveTSleep, OffByDefaultMatchesFixed) {
   EXPECT_DOUBLE_EQ(fixed, again);
 }
 
-TEST(AdaptiveTSleep, ReducesChurnOnBurstyWorkload) {
-  // Rapidly alternating demand with a tiny base threshold: the adaptive
-  // controller must cut the sleep/wake churn substantially.
+// Rapidly alternating demand: 16 phases, serial then 32-wide.
+TaskDag bursty_dag() {
   TaskDag dag;
   DagSpan prev{};
   for (int phase = 0; phase < 16; ++phase) {
@@ -248,24 +247,41 @@ TEST(AdaptiveTSleep, ReducesChurnOnBurstyWorkload) {
     }
     prev = s;
   }
-  ASSERT_EQ(dag.validate(), "");
+  return dag;
+}
 
-  auto churn = [&](bool adaptive) {
-    SimParams p = machine(8);
-    p.t_sleep = 2;
-    p.adaptive_t_sleep = adaptive;
-    SimEngine e(p, {spec("a", SchedMode::kDws, &dag, 3),
-                    spec("b", SchedMode::kDws, &dag, 3)});
-    const SimResult r = e.run();
-    return r.programs[0].sleeps + r.programs[1].sleeps;
-  };
-  const auto fixed_sleeps = churn(false);
-  const auto adaptive_sleeps = churn(true);
+// Sleeps of two co-running DWS copies of `dag` at base threshold t_sleep.
+std::uint64_t corun_sleeps(const TaskDag& dag, int t_sleep, bool adaptive) {
+  SimParams p = machine(8);
+  p.t_sleep = t_sleep;
+  p.adaptive_t_sleep = adaptive;
+  SimEngine e(p, {spec("a", SchedMode::kDws, &dag, 3),
+                  spec("b", SchedMode::kDws, &dag, 3)});
+  const SimResult r = e.run();
+  return r.programs[0].sleeps + r.programs[1].sleeps;
+}
+
+TEST(AdaptiveTSleep, ReducesChurnOnBurstyWorkload) {
+  // Rapidly alternating demand with a tiny base threshold: the adaptive
+  // controller must cut the sleep/wake churn substantially.
+  const TaskDag dag = bursty_dag();
+  ASSERT_EQ(dag.validate(), "");
+  const auto fixed_sleeps = corun_sleeps(dag, 2, false);
+  const auto adaptive_sleeps = corun_sleeps(dag, 2, true);
   // The controller must strictly reduce churn here; on harsher workloads
   // (see bench_adaptive_tsleep) the reduction is ~7x.
   EXPECT_LT(static_cast<double>(adaptive_sleeps),
             0.8 * static_cast<double>(fixed_sleeps))
       << "adaptive threshold failed to suppress premature-sleep churn";
+}
+
+TEST(AdaptiveTSleep, EscalatesFromAZeroBase) {
+  // Regression: the simulator capped escalation at 64 x base, which is 0
+  // for T_SLEEP = 0, so the controller could never move and an adaptive
+  // run slept exactly as often as a fixed one. The shared cap is
+  // 64 x max(base, 1), as in the runtime.
+  const TaskDag dag = bursty_dag();
+  EXPECT_LT(corun_sleeps(dag, 0, true), corun_sleeps(dag, 0, false));
 }
 
 TEST(AdaptiveTSleep, StillSleepsOnGenuineIdleness) {

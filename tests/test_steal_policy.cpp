@@ -248,5 +248,26 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SchedMode::kDws, SchedMode::kDwsNc),
                        ::testing::Values(0, 1, 2, 4, 8, 16, 32, 64, 128)));
 
+// The one adaptive-T_SLEEP rule both executors step.
+TEST(AdaptiveTSleep, EscalationStartsFromZeroAndCapsAt64xMaxBaseOne) {
+  EXPECT_EQ(AdaptiveTSleep::escalate(0.0, 0), 1.0);
+  EXPECT_EQ(AdaptiveTSleep::escalate(5.0, 4), 10.0);
+  EXPECT_EQ(AdaptiveTSleep::escalate(40.0, 0), 64.0);  // base 0 still moves
+  EXPECT_EQ(AdaptiveTSleep::escalate(200.0, 4), 256.0);
+}
+
+TEST(AdaptiveTSleep, DecayKeepsFractionsAndStopsAtBase) {
+  EXPECT_DOUBLE_EQ(AdaptiveTSleep::decay(16.0, 4), 15.52);
+  EXPECT_DOUBLE_EQ(AdaptiveTSleep::decay(15.52, 4), 15.52 * 0.97);
+  EXPECT_EQ(AdaptiveTSleep::threshold(15.52 * 0.97), 15);
+  EXPECT_EQ(AdaptiveTSleep::decay(4.1, 4), 4.0);
+}
+
+TEST(AdaptiveTSleep, PrematureHorizonDefaultsToThePeriod) {
+  EXPECT_TRUE(AdaptiveTSleep::premature(5.0, -1.0, 10.0));
+  EXPECT_FALSE(AdaptiveTSleep::premature(10.0, 0.0, 10.0));
+  EXPECT_FALSE(AdaptiveTSleep::premature(5.0, 2.0, 10.0));
+}
+
 }  // namespace
 }  // namespace dws
