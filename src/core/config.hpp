@@ -46,25 +46,11 @@ struct Config {
   /// auto-detection, which reads the real sibling map.
   unsigned smt_per_core = 1;
 
-  /// Victim ordering for steal attempts: TIERED exhausts near distance
-  /// tiers before far ones (locality-aware); UNIFORM is the paper's
-  /// original random victim. On a flat topology the two coincide
-  /// statistically, so TIERED is the default.
-  VictimPolicy victim_policy = VictimPolicy::kTiered;
-
   /// Pin worker i to hardware core i (real runtime only).
   bool pin_threads = true;
 
   /// Seed for victim-selection and core-selection randomness.
   std::uint64_t seed = 0x5eed5eed5eedULL;
-
-  /// Pooled task storage: spawns from a worker thread placement-construct
-  /// their task into the worker's recycled slab pool (runtime/task_pool.hpp)
-  /// instead of heap-allocating, when the closure fits a slot. Off means
-  /// every spawn pays new/delete — kept as a switch so the spawn benchmark
-  /// can measure the pooled-vs-heap delta (BENCH_spawn_steal.json) and as
-  /// an escape hatch while the pool protocol is young.
-  bool pool_tasks = true;
 
   /// §4.4 extension: run this program under *work-sharing* — every spawn
   /// goes to the scheduler's central queue instead of the spawning

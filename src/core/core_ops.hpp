@@ -17,23 +17,11 @@
 
 namespace dws {
 
-/// Historical packed slot layout: one bare CAS word, so 16 slots share a
-/// 64-byte cache line and every co-runner's claim/release invalidates its
-/// 15 neighbours' lines (the dws-atomic-array anti-pattern). Kept for the
-/// bench_false_sharing A/B guardrail and the model-check proof that the
-/// protocol is layout-independent; production tables use StridedCoreSlot.
-template <typename Policy>
-struct PackedCoreSlot {
-  // dws-layout: packed-ok A/B baseline layout, instantiated only by bench
-  // and model-check code that measures or proves against it.
-  DWS_SHARED typename Policy::template atomic<std::uint32_t> user{kNoProgram};
-};
-
-/// Production slot layout: the CAS word alone on its cache line, so a
-/// claim/release on core c invalidates nobody else's slot. Costs
-/// 64 B/core of shared memory (16 KiB at 256 cores) — noise next to the
-/// coherence traffic the packed layout generates under multi-programmed
-/// churn (see BENCH_false_sharing.json).
+/// Slot layout: the CAS word alone on its cache line, so a claim/release
+/// on core c invalidates nobody else's slot. Costs 64 B/core of shared
+/// memory (16 KiB at 256 cores) — noise next to the coherence traffic a
+/// packed array of bare words (16 slots per line) generates under
+/// multi-programmed churn (see BENCH_false_sharing.json).
 template <typename Policy>
 struct alignas(layout::kCacheLineBytes) StridedCoreSlot {
   DWS_SHARED typename Policy::template atomic<std::uint32_t> user{kNoProgram};
@@ -50,15 +38,12 @@ struct alignas(layout::kCacheLineBytes) StridedCoreSlot {
          1;
 }
 
-/// The CAS protocol, parameterized over both the atomics policy (std vs
-/// model-checker instrumented) and the slot layout (strided vs packed).
-/// Every transition goes through slots[core].user, so the protocol is
-/// layout-independent by construction — test_check_core_table instantiates
-/// it over both layouts to prove exactly that.
-template <typename Policy = StdAtomicsPolicy,
-          template <typename> class SlotT = StridedCoreSlot>
+/// The CAS protocol, parameterized over the atomics policy (std vs
+/// model-checker instrumented). Every transition goes through
+/// slots[core].user.
+template <typename Policy = StdAtomicsPolicy>
 struct CoreOps {
-  using Slot = SlotT<Policy>;
+  using Slot = StridedCoreSlot<Policy>;
 
   /// Current active program on `core`, or kNoProgram if free.
   [[nodiscard]] static ProgramId user_of(const Slot* slots, CoreId core) {

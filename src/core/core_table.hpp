@@ -201,8 +201,7 @@ class CoreTable {
   };
   /// Cacheline-strided CAS slot (layout revision 2). Every co-running
   /// process hammers its claim/release CAS at these words, so each lives
-  /// alone on its line; the historical packed layout (16 slots/line) is
-  /// kept as PackedCoreSlot for the A/B guardrail and model checker.
+  /// alone on its line (revision 1 packed 16 slots per line).
   using Slot = CoreOps<StdAtomicsPolicy>::Slot;
 
   /// Layout revision 2: strided slot array. Revision 1 (packed

@@ -67,32 +67,6 @@ enum class SchedMode : int {
   return false;
 }
 
-/// How a thief orders its victims (see core/topology.hpp for the tiers).
-enum class VictimPolicy : int {
-  /// The paper's choice: one uniformly random victim per attempt.
-  kUniform = 0,
-  /// Locality-aware: exhaust VERYNEAR victims before NEAR before FAR
-  /// before VERYFAR (distbdd-spin17 wstealer ordering), random within a
-  /// tier. On a flat machine this degenerates to a random-order sweep.
-  kTiered = 1,
-};
-
-[[nodiscard]] constexpr const char* to_string(VictimPolicy p) noexcept {
-  switch (p) {
-    case VictimPolicy::kUniform: return "UNIFORM";
-    case VictimPolicy::kTiered: return "TIERED";
-  }
-  return "?";
-}
-
-/// Parse a victim-policy name (as produced by to_string, case-sensitive).
-[[nodiscard]] inline bool parse_victim_policy(const std::string& s,
-                                              VictimPolicy& out) {
-  if (s == "UNIFORM") { out = VictimPolicy::kUniform; return true; }
-  if (s == "TIERED") { out = VictimPolicy::kTiered; return true; }
-  return false;
-}
-
 /// True for modes in which workers participate in the sleep/wake protocol.
 [[nodiscard]] constexpr bool mode_sleeps(SchedMode m) noexcept {
   return m == SchedMode::kDws || m == SchedMode::kDwsNc;

@@ -35,19 +35,6 @@ namespace dws {
 /// Sentinel for "no victim exists" (single-worker programs).
 inline constexpr unsigned kNoVictim = ~0u;
 
-/// The paper's original selection: one victim uniformly at random among
-/// the `num_workers - 1` others. The skip-self mapping keeps the draw
-/// uniform (victim ids >= self shift up by one); the n <= 1 guard owns
-/// the single-worker edge where rng.next_below(0) has no valid draw.
-template <typename Rng>
-[[nodiscard]] unsigned uniform_victim(Rng& rng, unsigned num_workers,
-                                      unsigned self) {
-  if (num_workers <= 1) return kNoVictim;
-  auto victim = static_cast<unsigned>(rng.next_below(num_workers - 1));
-  if (victim >= self) ++victim;
-  return victim;
-}
-
 /// One victim pick: who to probe and how far away they are (the tier
 /// indexes WorkerStats' per-tier steal counters).
 struct VictimPick {

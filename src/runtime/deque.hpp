@@ -5,13 +5,11 @@
 // top. All operations are lock-free; only the owner may call push()/pop().
 // The buffer grows geometrically on overflow. Old buffers cannot be freed
 // while concurrent thieves might still be reading them, so they are parked
-// on a retire list and reclaimed by the owner once steal traffic
-// quiesces (try_reclaim; thieves announce themselves in an in-flight
-// counter whose ordering shares steal()'s existing seq_cst fence), or at
-// latest in the destructor. While parked, the delayed memory is bounded
-// by 2x the high-water mark (the retired capacities form a geometric
-// series summing to less than the live buffer's capacity; see
-// retired_capacity_total()).
+// on a retire list and freed in the destructor. The parked memory is
+// bounded by the live buffer (the retired capacities form a geometric
+// series summing to less than the live capacity; see
+// retired_capacity_total()), so retired + live stays within 2x the
+// high-water mark, and steal() carries no reclamation bookkeeping.
 //
 // Fence budget on the owner's hot path (audited against the model
 // checker, tests/test_check_deque.cpp): push() is one release fence plus
@@ -131,28 +129,18 @@ class ChaseLevDeque {
   }
 
   /// Any thread: steal from the top (FIFO end — steals the oldest, which
-  /// in divide-and-conquer DAGs is the largest subtree).
-  ///
-  /// The in-flight announcement brackets every buffer access so the
-  /// owner's try_reclaim() can prove quiescence. The increment costs one
-  /// relaxed RMW and needs no fence of its own: it is sequenced before
-  /// steal()'s existing seq_cst fence, which pairs with the one in
-  /// try_reclaim() (see there for the two-case argument).
+  /// in divide-and-conquer DAGs is the largest subtree). One seq_cst
+  /// fence and, on a non-empty observation, the top_ CAS; an empty probe
+  /// writes nothing.
   std::optional<T> steal() {
-    inflight_thieves_.fetch_add(1, std::memory_order_relaxed);
     std::int64_t t = top_.load(std::memory_order_acquire);
     Policy::fence(std::memory_order_seq_cst);
     const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) {  // observed empty
-      inflight_thieves_.fetch_add(-1, std::memory_order_release);
-      return std::nullopt;
-    }
+    if (t >= b) return std::nullopt;  // observed empty
     Buffer* buf = buffer_.load(std::memory_order_consume);
     T item = buf->get(t);
-    const bool won = top_.compare_exchange_strong(
-        t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-    inflight_thieves_.fetch_add(-1, std::memory_order_release);
-    if (!won) {
+    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                      std::memory_order_relaxed)) {
       return std::nullopt;  // lost the race to the owner or another thief
     }
     return item;
@@ -171,39 +159,7 @@ class ChaseLevDeque {
     return buffer_.load(std::memory_order_relaxed)->capacity;
   }
 
-  /// Owner only: free retired buffers if no thief can still hold a
-  /// pointer into one. Returns true when the retire list is empty on
-  /// exit. Called by grow() (bounding the list across repeated growth)
-  /// and by the worker's cold idle path; the destructor remains the
-  /// backstop.
-  ///
-  /// Safety is a store-buffering pairing on the two seq_cst fences. A
-  /// thief is dangerous only if its buffer_ load (after its fence)
-  /// returned a retired buffer. Order the thief's fence F_t and the
-  /// owner's fence below F_o in the fences' total order:
-  ///  - F_o before F_t: the thief's load must see buffer_'s current
-  ///    value (stored before F_o in the owner's program order) or newer
-  ///    — it reads the live buffer, not a retired one.
-  ///  - F_t before F_o: the owner's relaxed load below must see the
-  ///    thief's announcement increment (sequenced before F_t) or a later
-  ///    value in the counter's modification order. Decrements only
-  ///    follow the thief's last buffer access, so any later value that
-  ///    nets to zero already includes that thief's decrement — if the
-  ///    thief were still mid-steal the owner would read >= 1 and back
-  ///    off.
-  /// The acquire on the counter read additionally synchronizes with each
-  /// release decrement, making "last access happens-before free" direct
-  /// (and visible to TSan, which does not model the fences).
-  bool try_reclaim() {
-    if (retired_.empty()) return true;
-    Policy::fence(std::memory_order_seq_cst);
-    if (inflight_thieves_.load(std::memory_order_acquire) != 0) return false;
-    for (Buffer* b : retired_) delete b;
-    retired_.clear();
-    return true;
-  }
-
-  /// Buffers parked by grow() awaiting reclamation. Quiescent use only
+  /// Buffers parked by grow() until the destructor. Quiescent use only
   /// (tests/diagnostics): the list is owner-mutated inside push().
   [[nodiscard]] std::size_t retired_count() const noexcept {
     return retired_.size();
@@ -248,9 +204,6 @@ class ChaseLevDeque {
   }
 
   Buffer* grow(Buffer* old, std::int64_t t, std::int64_t b) {
-    // Bound the retire list: earlier generations are reclaimable as soon
-    // as steal traffic has quiesced once since they were parked.
-    try_reclaim();
     auto* bigger = new Buffer(old->capacity * 2);
     for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
     buffer_.store(bigger, std::memory_order_release);
@@ -263,7 +216,6 @@ class ChaseLevDeque {
   DWS_OWNED_BY(owner)
   std::int64_t top_cache_ = 0;  // owner-local lower bound on top_
   alignas(64) DWS_OWNED_BY(owner) Atomic<Buffer*> buffer_;
-  alignas(64) DWS_SHARED Atomic<std::int64_t> inflight_thieves_{0};
   std::vector<Buffer*> retired_;  // owner-only mutation (inside push, rare)
 };
 

@@ -100,9 +100,9 @@ class Scheduler {
     group.add_pending();
     Worker* w = current_worker();
     if (w != nullptr && &w->sched_ != this) w = nullptr;
-    TaskBase* task;
+    TaskBase* task = nullptr;
     if constexpr (TaskSlabPool::fits<Task>()) {
-      if (w != nullptr && cfg_.pool_tasks) {
+      if (w != nullptr) {
         // Hot path: recycled slot, placement-new. Construction resets
         // every TaskBase field (race token, lineage, links) — a reused
         // slot cannot leak its previous occupant's state.
@@ -110,12 +110,11 @@ class Scheduler {
         task = new (TaskSlabPool::storage(slot))
             Task(&group, std::forward<F>(fn));
         task->set_pool_slot(slot);
-      } else {
-        task = new Task(&group, std::forward<F>(fn));
-        count_heap_spawn(w);
       }
-    } else {
-      // Closure too large (or over-aligned) for a slot: heap fallback.
+    }
+    if (task == nullptr) {
+      // External spawn, or a closure too large (or over-aligned) for a
+      // slot: heap fallback.
       task = new Task(&group, std::forward<F>(fn));
       count_heap_spawn(w);
     }

@@ -57,20 +57,12 @@ TaskBase* Worker::find_task() {
   if (auto t = deque_.pop()) return *t;
   // Externally injected tasks (run() from a non-worker thread).
   if (TaskBase* t = sched_.try_pop_inbox()) return t;
-  // Algorithm 1 lines 8-10: one steal attempt per call. Victim choice is
-  // the configured policy's: near-first over the distance tiers (default)
-  // or the paper's uniform draw. The n <= 1 guard owns the single-worker
-  // edge (kNoVictim / rng_.next_below(0) has no valid draw).
-  const unsigned n = sched_.num_workers();
-  if (n <= 1) return nullptr;
+  // Algorithm 1 lines 8-10: one steal attempt per call, victims taken
+  // near-first over the distance tiers. The single-worker guard owns the
+  // edge where there is no victim to draw.
+  if (sched_.num_workers() <= 1) return nullptr;
   ++stats_.steal_attempts;
-  VictimPick pick;
-  if (sched_.config().victim_policy == VictimPolicy::kTiered) {
-    pick = victim_order_.next(rng_);
-  } else {
-    pick.victim = uniform_victim(rng_, n, id_);
-    pick.tier = sched_.topology().distance(id_, pick.victim);
-  }
+  const VictimPick pick = victim_order_.next(rng_);
   ++stats_.steal_attempts_by_tier[static_cast<int>(pick.tier)];
   if (auto t = sched_.workers_[pick.victim]->deque_.steal()) {
     ++stats_.steals;
@@ -173,12 +165,6 @@ void Worker::thread_main() {
       sched_.execute(t);
       continue;
     }
-
-    // Out of work: the cold path is the natural point to reclaim deque
-    // buffers retired by grow() — steal traffic on our deque has usually
-    // quiesced by the time we are idle (two loads when there is nothing
-    // to reclaim).
-    deque_.try_reclaim();
 
     // Nothing anywhere. If the program as a whole has no in-flight work,
     // park on the idle gate instead of burning the core (non-sleeping

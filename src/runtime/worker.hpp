@@ -159,8 +159,8 @@ class Worker {
   Scheduler& sched_;
   const unsigned id_;
   DWS_OWNED_BY(worker) util::Xoshiro256 rng_;
-  /// Near-first victim ordering (Config::victim_policy == kTiered); its
-  /// cursor/shuffle state is worker-thread-only like rng_.
+  /// Near-first victim ordering; its cursor/shuffle state is
+  /// worker-thread-only like rng_.
   DWS_OWNED_BY(worker) TieredVictimOrder victim_order_;
   StealPolicy policy_;
   ChaseLevDeque<TaskBase*> deque_;  // line-isolates its own hot words

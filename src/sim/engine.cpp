@@ -543,10 +543,10 @@ struct SimEngine::Impl {
 
   /// Resolve a steal sweep for worker wi: probe this program's other
   /// workers and steal the oldest task from the first non-empty pool.
-  /// Under VictimPolicy::kTiered the probe order is near-first — all
-  /// same-group victims, then same-socket, then each remote tier — with a
-  /// random rotation within each tier so equally-near victims share the
-  /// load; UNIFORM is the historical random-start circular sweep. Returns
+  /// The probe order is near-first — all same-group victims, then
+  /// same-socket, then each remote tier — with a random rotation within
+  /// each tier so equally-near victims share the load (on a flat machine,
+  /// the paper's random-start circular sweep). Returns
   /// the node plus the victim's distance tier (for the per-tier counters
   /// and the migration charge). Under work-sharing the "sweep" is a poll
   /// of the central FIFO.
@@ -565,33 +565,19 @@ struct SimEngine::Impl {
     // original cores). Distance is measured between *current* cores for
     // the same reason.
     const unsigned start = static_cast<unsigned>(rng.next_below(k));
-    if (params.victim_policy == VictimPolicy::kTiered) {
-      for (unsigned tier = 0; tier < kNumDistanceTiers; ++tier) {
-        for (unsigned off = 0; off < k; ++off) {
-          const unsigned slot = (start + off) % k;
-          const unsigned victim_idx = widx(w.prog, slot);
-          if (victim_idx == wi) continue;
-          WorkerSt& victim = workers[victim_idx];
-          const DistanceTier d = topo.distance(w.core, victim.core);
-          if (static_cast<unsigned>(d) != tier || victim.pool.empty()) {
-            continue;
-          }
-          const NodeId node = victim.pool.front();
-          victim.pool.pop_front();
-          return {node, d};
+    for (unsigned tier = 0; tier < kNumDistanceTiers; ++tier) {
+      for (unsigned off = 0; off < k; ++off) {
+        const unsigned slot = (start + off) % k;
+        const unsigned victim_idx = widx(w.prog, slot);
+        if (victim_idx == wi) continue;
+        WorkerSt& victim = workers[victim_idx];
+        const DistanceTier d = topo.distance(w.core, victim.core);
+        if (static_cast<unsigned>(d) != tier || victim.pool.empty()) {
+          continue;
         }
-      }
-      return {};
-    }
-    for (unsigned off = 0; off < k; ++off) {
-      const unsigned slot = (start + off) % k;
-      const unsigned victim_idx = widx(w.prog, slot);
-      if (victim_idx == wi) continue;
-      WorkerSt& victim = workers[victim_idx];
-      if (!victim.pool.empty()) {
         const NodeId node = victim.pool.front();
         victim.pool.pop_front();
-        return {node, topo.distance(w.core, victim.core)};
+        return {node, d};
       }
     }
     return {};

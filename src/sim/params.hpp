@@ -44,16 +44,12 @@ struct SimParams {
   /// low-demand period (a serial merge, a narrow factorization tail), so
   /// cores are still released exactly when a co-runner could use them.
   double steal_backoff_cap_us = 500.0;
-  /// Victim ordering for steal sweeps: TIERED probes same-socket victims
-  /// before remote ones (core/victim_order.hpp tier order); UNIFORM is
-  /// the historical random-start circular sweep.
-  VictimPolicy victim_policy = VictimPolicy::kTiered;
   /// One-off transfer cost charged when a steal *succeeds*, indexed by
   /// the victim's distance tier (VERYNEAR..VERYFAR): pulling the task's
   /// working set across the interconnect costs real time, which is what
   /// makes near-first victim ordering pay off. All-zero by default so the
-  /// paper-reproduction figures are untouched; the locality experiments
-  /// (bench_locality) turn it on explicitly. Order-of-magnitude guidance:
+  /// paper-reproduction figures are untouched; multi-socket experiments
+  /// turn it on explicitly. Order-of-magnitude guidance:
   /// an LLC-local transfer is free-ish, a cross-socket one costs a few
   /// steal_cost_us.
   double steal_tier_migration_us[kNumDistanceTiers] = {0.0, 0.0, 0.0, 0.0};

@@ -276,37 +276,30 @@ TEST(CoreTableCheck, StaleSweepVsHomeReclaim) {
   EXPECT_FALSE(r.truncated);
 }
 
-// ---- Slot-layout independence (shm layout revision 2) ----
+// ---- Release / reclaim / claim storm over the strided slots ----
 //
-// The strided slot layout changes only *where* the CAS word lives, never
-// the transitions over it: CoreOps is parameterized on the slot template
-// and every op goes through slots[core].user. Run the claim/release/
-// reclaim arbitration storm over BOTH layouts to prove the protocol's
-// outcomes are layout-independent — a regression here would mean a slot
-// template smuggled semantics (e.g. extra state) into the layout.
-template <template <typename> class SlotT>
-void check_claim_release_reclaim_storm() {
-  using LOps = CoreOps<check::CheckAtomicsPolicy, SlotT>;
+// Borrower (2) releases its borrowed core, home owner (1) reclaims it,
+// and a thief-side claim races for the freed slot — the same triangle as
+// ClaimVsReclaimAfterRelease, on 2 cores / 2 programs, driven directly
+// over the cacheline-strided slot array the shm table lays out.
+TEST(CoreTableCheck, ReleaseReclaimClaimStorm) {
   const Result r = check::explore(exhaustive(), [](Sim& sim) {
     struct State {
-      State() : slots(new typename LOps::Slot[2]) {
+      State() : slots(new Ops::Slot[2]) {
         slots[0].user.store(2, std::memory_order_relaxed);
       }
-      std::unique_ptr<typename LOps::Slot[]> slots;
+      std::unique_ptr<Ops::Slot[]> slots;
       bool released = false, reclaimed = false, claimed = false;
     };
     auto st = std::make_shared<State>();
-    // Borrower (2) releases its borrowed core, home owner (1) reclaims it,
-    // and a thief-side claim races for the freed slot — the same triangle
-    // as ClaimVsReclaimAfterRelease, on 2 cores / 2 programs.
-    sim.spawn([st] { st->released = LOps::release(st->slots.get(), 0, 2); });
+    sim.spawn([st] { st->released = Ops::release(st->slots.get(), 0, 2); });
     sim.spawn(
-        [st] { st->reclaimed = LOps::try_reclaim(st->slots.get(), 2, 2, 0, 1); });
-    sim.spawn([st] { st->claimed = LOps::try_claim(st->slots.get(), 0, 1); });
+        [st] { st->reclaimed = Ops::try_reclaim(st->slots.get(), 2, 2, 0, 1); });
+    sim.spawn([st] { st->claimed = Ops::try_claim(st->slots.get(), 0, 1); });
     sim.on_exit([st] {
       check::expect(!st->claimed || st->released,
                     "claim won without a preceding release");
-      const ProgramId user = LOps::user_of(st->slots.get(), 0);
+      const ProgramId user = Ops::user_of(st->slots.get(), 0);
       ProgramId expected = 2;
       if (st->reclaimed || st->claimed) {
         expected = 1;
@@ -315,20 +308,12 @@ void check_claim_release_reclaim_storm() {
       }
       check::expect(user == expected, "slot state inconsistent with winners");
       check::expect(user != 2u || (!st->released && !st->reclaimed),
-                    "transitions lost under this slot layout");
+                    "transitions lost in the storm");
     });
   });
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
   EXPECT_FALSE(r.truncated);
   EXPECT_GT(r.executions, 1);
-}
-
-TEST(CoreTableCheck, LayoutIndependenceStrided) {
-  check_claim_release_reclaim_storm<StridedCoreSlot>();
-}
-
-TEST(CoreTableCheck, LayoutIndependencePacked) {
-  check_claim_release_reclaim_storm<PackedCoreSlot>();
 }
 
 }  // namespace

@@ -178,58 +178,6 @@ TEST(ChaseLevDequeCheck, GrowUnderConcurrentSteal) {
   EXPECT_FALSE(r.truncated);
 }
 
-// Bounded retirement: grow() hands retired buffers to try_reclaim(),
-// which frees them only at steal-quiescence (no thief between its
-// announce and its exit). The owner calls try_reclaim() both inside
-// grow() and explicitly mid-race — the checker explores interleavings
-// where a thief is mid-steal (reclaim must refuse) and where it is not
-// (reclaim frees; a subsequent stale-positioned thief must still be
-// safe). An unsound reclaim frees a buffer the thief still reads, which
-// the instrumented atomics turn into a hard failure. On exit, with
-// everything quiescent, reclamation must succeed and empty the list.
-TEST(ChaseLevDequeCheck, GrowReclaimQuiescence) {
-  using Deque = rt::ChaseLevDeque<int, check::CheckAtomicsPolicy>;
-  const Result r = check::explore(exhaustive(2), [](Sim& sim) {
-    struct State {
-      State() : dq(2) {}
-      Deque dq;
-      std::vector<int> consumed;
-    };
-    auto st = std::make_shared<State>();
-    st->dq.push(1);
-    st->dq.push(2);  // full at capacity 2
-
-    sim.spawn([st] {
-      st->dq.push(3);  // grow(2 -> 4): retires the first buffer
-      st->dq.push(4);
-      st->dq.push(5);  // grow(4 -> 8): internal try_reclaim may free it
-      st->dq.try_reclaim();  // explicit owner-side attempt mid-race
-    });
-    sim.spawn([st] {
-      for (int i = 0; i < 2; ++i) {
-        if (auto v = st->dq.steal()) st->consumed.push_back(*v);
-      }
-    });
-
-    sim.on_exit([st] {
-      while (auto v = st->dq.pop()) st->consumed.push_back(*v);
-      check::expect(st->consumed.size() == 5, "items lost across grow()");
-      std::map<int, int> seen;
-      for (int v : st->consumed) ++seen[v];
-      for (int i = 1; i <= 5; ++i) {
-        check::expect(seen[i] == 1, "item not consumed exactly once");
-      }
-      // Quiescent: no thief can be in flight, so reclamation must both
-      // succeed and leave nothing retired.
-      check::expect(st->dq.try_reclaim(), "quiescent reclaim refused");
-      check::expect(st->dq.retired_count() == 0,
-                    "retired buffers survived a quiescent reclaim");
-    });
-  });
-  EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
-  EXPECT_FALSE(r.truncated);
-}
-
 // Acceptance: downgrading the seq_cst fences in pop()/steal() to acq_rel
 // breaks the owner/thief arbitration — the checker must catch it and the
 // failure must replay from the recorded schedule.

@@ -365,16 +365,35 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
     kill_process(victim);
     EXPECT_EQ(wait_process(victim), 137);
 
+    // The corpse's own home cores it still holds: the survivor can neither
+    // reclaim nor claim them, so only the stale sweep can free them. (The
+    // survivor's reclaims may empty every other corpse slot before the
+    // sweep runs, and if the sweep already ran this reads 0 — either way
+    // a recovery is owed only for the cores counted here.)
+    unsigned corpse_home_held = 0;
+    for (CoreId c = 0; c < kCores; ++c) {
+      if (t.home_of(c) == victim_pid && t.user_of(c) == victim_pid) {
+        ++corpse_home_held;
+      }
+    }
+
     // Bounded recovery: stale_after_periods + slack coordinator periods.
     // eventually()'s 10 s ceiling is the hard failure bound; the expected
     // time is stale_after_periods * period ~= 6 ms after the first tick.
-    ASSERT_TRUE(eventually([&] { return t.count_active(victim_pid) == 0; }))
-        << "survivor never swept the killed co-runner";
-    EXPECT_GE(sched.stats().stale_programs_swept, 1u);
-    EXPECT_GE(sched.stats().cores_recovered, 1u);
-    // The dead program's liveness record is retired, so the sweep is
-    // one-shot and its slots are genuinely reusable.
-    EXPECT_EQ(t.liveness_os_pid(victim_pid), 0u);
+    // Wait for the sweep itself, not just for empty slots: the survivor's
+    // reclaims can empty those first. The dead program's liveness record
+    // is retired, so the sweep is one-shot and its slots are genuinely
+    // reusable.
+    ASSERT_TRUE(eventually([&] {
+      return sched.stats().stale_programs_swept >= 1 &&
+             t.liveness_os_pid(victim_pid) == 0 &&
+             t.count_active(victim_pid) == 0;
+    })) << "survivor never swept the killed co-runner";
+    // The counters are bumped one after the other, so poll this one too.
+    EXPECT_TRUE(eventually([&] {
+      return sched.stats().cores_recovered >= corpse_home_held;
+    })) << "sweep freed fewer than the " << corpse_home_held
+        << " home cores the corpse held";
 
     // The survivor can now take the whole machine and finish real work.
     std::atomic<int> done{0};

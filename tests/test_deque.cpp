@@ -157,53 +157,16 @@ TEST(ChaseLevDequeStress, GrowthUnderConcurrentSteals) {
   EXPECT_EQ(stolen_count.load() + popped, kItems);
 }
 
-// Regression for unbounded buffer retirement: grow() used to park every
-// old buffer on the retired list until destruction, so a long-lived
-// worker deque leaked its whole growth history. Retirement is now
-// bounded: grow() reclaims at steal-quiescence, and an explicit
-// quiescent try_reclaim() must always succeed and empty the list.
-TEST(ChaseLevDeque, RetiredBuffersAreReclaimedAtQuiescence) {
+// Retired grow buffers are freed only by the destructor, so the bound
+// that matters is memory: each retired buffer is half the next, so their
+// total stays below the live capacity (retired + live < 2x the
+// high-water mark), however many grows a long-lived deque goes through.
+TEST(ChaseLevDeque, RetiredBuffersStayBelowLiveCapacity) {
   ChaseLevDeque<std::intptr_t> d(2);
   for (std::intptr_t i = 0; i < 5000; ++i) d.push(i);  // many grows
-  // Single-threaded: every grow's internal try_reclaim frees the earlier
-  // retirees, so only the most recent grow's buffer can remain.
-  EXPECT_EQ(d.retired_count(), 1u);
-  EXPECT_TRUE(d.try_reclaim());
-  EXPECT_EQ(d.retired_count(), 0u);
-  EXPECT_EQ(d.retired_capacity_total(), 0u);
+  EXPECT_GE(d.retired_count(), 1u);
+  EXPECT_LT(d.retired_capacity_total(), d.capacity());
   for (std::intptr_t i = 4999; i >= 0; --i) EXPECT_EQ(*d.pop(), i);
-}
-
-// try_reclaim under live thieves: it may refuse while a steal is in
-// flight, but must never lose elements, and must succeed once the
-// thieves are gone.
-TEST(ChaseLevDequeStress, ReclaimUnderConcurrentSteals) {
-  ChaseLevDeque<std::intptr_t> d(2);
-  constexpr std::intptr_t kItems = 50000;
-  std::atomic<std::int64_t> stolen_count{0};
-  std::atomic<bool> done{false};
-
-  std::thread thief([&] {
-    std::int64_t local = 0;
-    while (!done.load(std::memory_order_acquire) || !d.empty_approx()) {
-      if (d.steal()) ++local;
-    }
-    stolen_count.fetch_add(local);
-  });
-
-  std::int64_t popped = 0;
-  for (std::intptr_t i = 0; i < kItems; ++i) {
-    d.push(i);
-    if (i % 1024 == 0) d.try_reclaim();  // owner-side, mid-traffic
-  }
-  while (d.pop()) ++popped;
-  done.store(true, std::memory_order_release);
-  thief.join();
-  while (d.steal()) ++popped;
-
-  EXPECT_EQ(stolen_count.load() + popped, kItems);
-  EXPECT_TRUE(d.try_reclaim()) << "no thief in flight after join";
-  EXPECT_EQ(d.retired_count(), 0u);
 }
 
 // Exactly-once when two thieves fight over a single element repeatedly.

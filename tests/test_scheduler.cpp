@@ -411,14 +411,13 @@ TEST(SchedulerStats, PerTierStealCountersPartitionTheTotals) {
   }
 }
 
-// With a 2-socket machine model and the TIERED policy, successful steals
-// concentrate in the near tier: same-socket victims are always probed
-// first, so a cross-socket steal requires the thief's whole socket to be
-// empty at that instant.
+// With a 2-socket machine model, successful steals concentrate in the
+// near tier: same-socket victims are always probed first, so a
+// cross-socket steal requires the thief's whole socket to be empty at
+// that instant.
 TEST(SchedulerStats, TieredPolicyRecordsNearSteals) {
   Config cfg = make_config(SchedMode::kDws, 8);
   cfg.num_sockets = 2;
-  cfg.victim_policy = VictimPolicy::kTiered;
   Scheduler sched(cfg);
   for (int round = 0; round < 50; ++round) {
     parallel_for_each_index(sched, 0, 2000, 8, [](std::int64_t) {});

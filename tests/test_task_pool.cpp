@@ -182,12 +182,11 @@ TEST(TaskPool, HeapTaskDestroyStillDeletes) {
 // Scheduler-level allocation accounting.
 // ---------------------------------------------------------------------
 
-Config pool_config(bool pooled) {
+Config pool_config() {
   Config cfg;
   cfg.mode = SchedMode::kDws;
   cfg.num_cores = 2;
   cfg.pin_threads = false;
-  cfg.pool_tasks = pooled;
   return cfg;
 }
 
@@ -204,7 +203,7 @@ void burst(rt::Scheduler& sched, int n) {
 TEST(SchedulerAllocStats, WorkerSpawnsArePooledWithZeroSteadyStateAllocs) {
   constexpr int kRounds = 8;
   constexpr int kTasks = 60;  // below one slab, so high-water fits slab 0
-  rt::Scheduler sched(pool_config(true));
+  rt::Scheduler sched(pool_config());
   for (int r = 0; r < kRounds; ++r) burst(sched, kTasks);
 
   // A task releases its slot *after* signalling its group, so the last
@@ -228,21 +227,8 @@ TEST(SchedulerAllocStats, WorkerSpawnsArePooledWithZeroSteadyStateAllocs) {
   EXPECT_EQ(a.local_frees + a.remote_frees, a.pooled_spawns);
 }
 
-TEST(SchedulerAllocStats, PoolingCanBeDisabled) {
-  constexpr int kRounds = 3;
-  constexpr int kTasks = 40;
-  rt::Scheduler sched(pool_config(false));
-  for (int r = 0; r < kRounds; ++r) burst(sched, kTasks);
-
-  const rt::TaskAllocStats a = sched.alloc_stats();
-  EXPECT_EQ(a.pooled_spawns, 0u);
-  EXPECT_EQ(a.slab_allocs, 0u);
-  EXPECT_EQ(a.heap_spawns, static_cast<std::uint64_t>(kRounds) * kTasks);
-  EXPECT_EQ(a.external_spawns, static_cast<std::uint64_t>(kRounds));
-}
-
 TEST(SchedulerAllocStats, OversizedClosuresFallBackToTheHeap) {
-  rt::Scheduler sched(pool_config(true));
+  rt::Scheduler sched(pool_config());
   sched.run([&sched] {
     rt::TaskGroup g;
     struct Fat {
@@ -312,7 +298,7 @@ class TokenAudit : public race::ParallelHook {
 
 TEST(TaskPoolRaceToken, RecycledSlotsDoNotInheritTokens) {
   constexpr int kTasks = 128;
-  rt::Scheduler sched(pool_config(true));
+  rt::Scheduler sched(pool_config());
 
   auto audited_burst = [&](TokenAudit& audit) {
     race::detail::parallel_hook().store(&audit, std::memory_order_release);

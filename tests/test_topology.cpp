@@ -1,9 +1,7 @@
 // The NUMA machine model and the locality-aware victim ordering built on
 // it: metric properties of Topology::distance (symmetry, triangle
 // inequality, identity), agreement between the synthetic layout and the
-// simulator's socket split, tier-by-tier sweeps of TieredVictimOrder, and
-// the uniform_victim regression suite (single-worker edge + uniformity of
-// the skip-self mapping).
+// simulator's socket split, and tier-by-tier sweeps of TieredVictimOrder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -148,16 +146,6 @@ TEST(Topology, MakeTopologyHonoursTheConfig) {
   EXPECT_EQ(d.num_cores(), 8u);
 }
 
-TEST(VictimPolicyNames, RoundTrip) {
-  for (VictimPolicy p : {VictimPolicy::kUniform, VictimPolicy::kTiered}) {
-    VictimPolicy parsed{};
-    ASSERT_TRUE(parse_victim_policy(to_string(p), parsed)) << to_string(p);
-    EXPECT_EQ(parsed, p);
-  }
-  VictimPolicy out{};
-  EXPECT_FALSE(parse_victim_policy("bogus", out));
-}
-
 // ------------------------------------------------------- TieredVictimOrder
 
 TEST(TieredVictimOrder, SweepIsAPermutationWithNonDecreasingTiers) {
@@ -244,50 +232,6 @@ TEST(TieredVictimOrder, SingleWorkerHasNoVictims) {
   TieredVictimOrder order(topo, 0, 1);
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(order.next(rng).victim, kNoVictim);
-}
-
-// ------------------------------------------------- uniform_victim (legacy)
-
-TEST(UniformVictim, SingleWorkerReturnsNoVictim) {
-  // Regression: with one worker there are zero victims and the guard must
-  // fire *before* the rng draw — next_below(0) would otherwise be asked
-  // for a uniform draw from an empty range (it pins to 0, which would
-  // then be "steal from yourself").
-  util::Xoshiro256 rng(5);
-  EXPECT_EQ(uniform_victim(rng, 1, 0), kNoVictim);
-  EXPECT_EQ(uniform_victim(rng, 0, 0), kNoVictim);
-}
-
-TEST(UniformVictim, NeverSelfNeverOutOfRange) {
-  util::Xoshiro256 rng(99);
-  for (unsigned n = 2; n <= 8; ++n) {
-    for (unsigned self = 0; self < n; ++self) {
-      for (int i = 0; i < 2000; ++i) {
-        const unsigned v = uniform_victim(rng, n, self);
-        ASSERT_LT(v, n);
-        ASSERT_NE(v, self);
-      }
-    }
-  }
-}
-
-TEST(UniformVictim, CoverageIsUniformAcrossVictims) {
-  // Pins the skip-self mapping: every victim id (including those above
-  // `self`, which are reached via the +1 shift) must land within 10% of
-  // the expected share. A modulo-biased draw or an off-by-one in the
-  // shift skews the tails far beyond that.
-  constexpr unsigned kN = 8;
-  constexpr unsigned kSelf = 3;
-  constexpr int kDraws = 70000;
-  util::Xoshiro256 rng(1234);
-  std::vector<int> hits(kN, 0);
-  for (int i = 0; i < kDraws; ++i) ++hits[uniform_victim(rng, kN, kSelf)];
-  EXPECT_EQ(hits[kSelf], 0);
-  const double expected = static_cast<double>(kDraws) / (kN - 1);
-  for (unsigned v = 0; v < kN; ++v) {
-    if (v == kSelf) continue;
-    EXPECT_NEAR(hits[v], expected, 0.10 * expected) << "victim " << v;
-  }
 }
 
 }  // namespace

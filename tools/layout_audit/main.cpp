@@ -57,7 +57,6 @@ struct Access {
       DWS_AUDIT_FIELD(bottom_, "owned_by:owner");
       DWS_AUDIT_FIELD(top_cache_, "owned_by:owner");
       DWS_AUDIT_FIELD(buffer_, "owned_by:owner");
-      DWS_AUDIT_FIELD(inflight_thieves_, "shared");
       DWS_AUDIT_FIELD(retired_, "");
     }
     {
@@ -133,13 +132,6 @@ struct Access {
       DWS_AUDIT_PACKED_OK(
           "heartbeat-rate writes only, one tick per coordinator period, "
           "measured interference is noise");
-    }
-    {
-      DWS_AUDIT_STRUCT(out, dws::PackedCoreSlot<dws::StdAtomicsPolicy>);
-      DWS_AUDIT_FIELD(user, "shared");
-      DWS_AUDIT_PACKED_OK(
-          "A/B baseline layout, instantiated only by bench and model-check "
-          "code");
     }
     {
       DWS_AUDIT_STRUCT(out, dws::StridedCoreSlot<dws::StdAtomicsPolicy>);
