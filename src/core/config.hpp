@@ -21,7 +21,7 @@ struct Config {
   /// equipartition of the core allocation table. A single program => 1.
   unsigned num_programs = 1;
 
-  /// T_SLEEP: a worker sleeps after this many consecutive failed steals.
+  /// T_SLEEP: a worker sleeps after this many consecutive failed sweeps.
   /// -1 selects the paper's recommendation T_SLEEP = k (§3.4, §4.3).
   int t_sleep = -1;
 
@@ -41,15 +41,10 @@ struct Config {
   /// fallback where /sys is absent).
   unsigned num_sockets = 1;
 
-  /// SMT width of the synthetic machine model: this many consecutive
-  /// cores form one physical core (VERYNEAR victims). Ignored under
-  /// auto-detection, which reads the real sibling map.
-  unsigned smt_per_core = 1;
-
   /// Pin worker i to hardware core i (real runtime only).
   bool pin_threads = true;
 
-  /// Seed for victim-selection and core-selection randomness.
+  /// Seed for victim-selection randomness (each worker's sweep start).
   std::uint64_t seed = 0x5eed5eed5eedULL;
 
   /// §4.4 extension: run this program under *work-sharing* — every spawn

@@ -155,7 +155,7 @@ Topology Topology::detect(unsigned num_cores) {
 
 Topology make_topology(const Config& cfg, unsigned num_cores) {
   if (cfg.num_sockets == 0) return Topology::detect(num_cores);
-  return Topology::synthetic(num_cores, cfg.num_sockets, cfg.smt_per_core);
+  return Topology::synthetic(num_cores, cfg.num_sockets);
 }
 
 }  // namespace dws

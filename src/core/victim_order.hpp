@@ -3,27 +3,24 @@
 // distbdd-spin17's wstealer buckets the other workers into the four
 // distance tiers of core/topology.hpp and steals near-first: all VERYNEAR
 // victims are probed before any NEAR one, and so on. TieredVictimOrder
-// packages that ordering as pure policy (no threads, no atomics — the
-// same class drives the real runtime's workers and the simulator):
+// packages that ordering as pure policy (no threads, no atomics) and is
+// the one definition of a steal attempt in both executors:
 //
 //  * victims are bucketed by distance(self, v) once, at construction;
-//  * a *sweep* probes every victim exactly once, tiers in near-to-far
-//    order, uniformly shuffled within each tier (so equally-near victims
-//    share the load instead of core 0 being everyone's first target);
-//  * next() hands out one victim per call and keeps a cursor, preserving
-//    Algorithm 1's one-attempt-per-iteration accounting (the failed-steal
-//    counter and T_SLEEP semantics are untouched);
-//  * restart() rewinds to the nearest tier — called after a successful
-//    steal, so every fresh hunger episode probes near victims first.
+//  * sweep() is one steal attempt: it draws one start slot, then probes
+//    every victim once, tiers near to far, each tier in circular id order
+//    from that start (so equally-near victims share the load instead of
+//    core 0 being everyone's first target), and stops at the first hit.
+//    A failed steal is a failed sweep in the runtime and the simulator
+//    alike, so T_SLEEP counts sweeps in both;
+//  * next() hands out the same sweeps one victim per call.
 //
-// Starvation-freedom: a sweep is a permutation of all victims, the cursor
-// only rewinds on success (the thief is no longer hungry) or wrap-around,
-// so a continuously failing thief probes every victim within n-1
-// consecutive attempts regardless of the shuffles — no victim can be
-// missed forever. tests/test_check_victims.cpp certifies this
-// exhaustively over the shuffle nondeterminism.
+// Starvation-freedom: a failed sweep has probed every victim, whatever
+// the start. tests/test_check_victims.cpp certifies this exhaustively
+// over all start draws.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -50,18 +47,15 @@ class TieredVictimOrder {
   /// (worker id == core id) by distance tier, nearest first.
   TieredVictimOrder(const Topology& topo, unsigned self,
                     unsigned num_workers) {
-    order_.reserve(num_workers > 0 ? num_workers - 1 : 0);
-    tier_of_.reserve(order_.capacity());
     for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
       const std::size_t begin = order_.size();
       for (unsigned v = 0; v < num_workers; ++v) {
         if (v == self) continue;
         if (static_cast<unsigned>(topo.distance(self, v)) != t) continue;
         order_.push_back(v);
-        tier_of_.push_back(static_cast<DistanceTier>(t));
       }
       if (order_.size() > begin) {
-        segments_.push_back({begin, order_.size()});
+        segments_.push_back({begin, order_.size(), DistanceTier(t)});
       }
     }
   }
@@ -69,42 +63,59 @@ class TieredVictimOrder {
   [[nodiscard]] bool empty() const noexcept { return order_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
 
-  /// The next victim of the current sweep. At each sweep start (first call,
-  /// wrap-around, or after restart()) the within-tier order is reshuffled
-  /// with `rng`; the tier order itself is fixed near-to-far.
+  /// One steal attempt: probe each victim once, near tiers first, until
+  /// `probe(pick)` returns true. Returns that pick, or a kNoVictim pick
+  /// when the whole sweep failed. Draws from `rng` exactly once, and not
+  /// at all when there is no victim.
+  template <typename Rng, typename Probe>
+  VictimPick sweep(Rng& rng, Probe&& probe) const {
+    if (order_.empty()) return VictimPick{};
+    const unsigned start = draw(rng);
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      const VictimPick pick = pick_at(i, start);
+      if (probe(pick)) return pick;
+    }
+    return VictimPick{};
+  }
+
+  /// The victims of consecutive sweeps, one per call.
   template <typename Rng>
   [[nodiscard]] VictimPick next(Rng& rng) {
     if (order_.empty()) return VictimPick{};
-    if (cursor_ == 0) reshuffle(rng);
-    const VictimPick pick{order_[cursor_], tier_of_[cursor_]};
+    if (cursor_ == 0) start_ = draw(rng);
+    const VictimPick pick = pick_at(cursor_, start_);
     if (++cursor_ == order_.size()) cursor_ = 0;
     return pick;
   }
 
-  /// Rewind to the nearest tier (the hunger episode ended: the next
-  /// episode starts near-first again).
-  void restart() noexcept { cursor_ = 0; }
-
  private:
   struct Segment {
     std::size_t begin, end;  // [begin, end) slice of order_ with one tier
+    DistanceTier tier;
   };
 
+  /// A start slot in [0, num_workers): the victims plus self.
   template <typename Rng>
-  void reshuffle(Rng& rng) {
-    // Fisher-Yates within each tier segment; tiers never mix.
-    for (const Segment& seg : segments_) {
-      for (std::size_t i = seg.end - seg.begin; i > 1; --i) {
-        std::swap(order_[seg.begin + i - 1],
-                  order_[seg.begin + rng.next_below(i)]);
-      }
-    }
+  unsigned draw(Rng& rng) const {
+    return static_cast<unsigned>(rng.next_below(order_.size() + 1));
   }
 
-  std::vector<unsigned> order_;        // victims, grouped by tier near->far
-  std::vector<DistanceTier> tier_of_;  // tier_of_[i] = tier of order_[i]
-  std::vector<Segment> segments_;      // non-empty tier slices of order_
-  std::size_t cursor_ = 0;
+  /// The i-th victim of the sweep from slot `start`: each tier segment
+  /// rotated to begin at its first id >= start.
+  [[nodiscard]] VictimPick pick_at(std::size_t i, unsigned start) const {
+    const Segment* seg = segments_.data();
+    for (; i >= seg->end - seg->begin; ++seg) i -= seg->end - seg->begin;
+    const std::size_t len = seg->end - seg->begin;
+    const unsigned* first = order_.data() + seg->begin;
+    const auto pivot = static_cast<std::size_t>(
+        std::lower_bound(first, first + len, start) - first);
+    return {first[(pivot + i) % len], seg->tier};
+  }
+
+  std::vector<unsigned> order_;    // victims by tier near->far, ids ascending
+  std::vector<Segment> segments_;  // non-empty tier slices of order_
+  unsigned start_ = 0;             // next(): the current sweep's start
+  std::size_t cursor_ = 0;         // next(): position in the current sweep
 };
 
 }  // namespace dws

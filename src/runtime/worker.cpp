@@ -57,22 +57,24 @@ TaskBase* Worker::find_task() {
   if (auto t = deque_.pop()) return *t;
   // Externally injected tasks (run() from a non-worker thread).
   if (TaskBase* t = sched_.try_pop_inbox()) return t;
-  // Algorithm 1 lines 8-10: one steal attempt per call, victims taken
-  // near-first over the distance tiers. The single-worker guard owns the
-  // edge where there is no victim to draw.
+  // Algorithm 1 lines 8-10: one steal attempt per call, a near-first sweep
+  // over every victim that stops at the first hit. The single-worker guard
+  // owns the edge where there is no victim to draw.
   if (sched_.num_workers() <= 1) return nullptr;
-  ++stats_.steal_attempts;
-  const VictimPick pick = victim_order_.next(rng_);
-  ++stats_.steal_attempts_by_tier[static_cast<int>(pick.tier)];
-  if (auto t = sched_.workers_[pick.victim]->deque_.steal()) {
-    ++stats_.steals;
-    ++stats_.steals_by_tier[static_cast<int>(pick.tier)];
-    // Hunger episode over: the next one probes near tiers first again.
-    victim_order_.restart();
-    return *t;
+  TaskBase* stolen = nullptr;
+  const VictimPick hit = victim_order_.sweep(rng_, [&](VictimPick pick) {
+    ++stats_.steal_attempts;
+    ++stats_.steal_attempts_by_tier[static_cast<int>(pick.tier)];
+    stolen = sched_.workers_[pick.victim]->deque_.steal().value_or(nullptr);
+    return stolen != nullptr;
+  });
+  if (hit.victim == kNoVictim) {
+    ++stats_.failed_steals;
+    return nullptr;
   }
-  ++stats_.failed_steals;
-  return nullptr;
+  ++stats_.steals;
+  ++stats_.steals_by_tier[static_cast<int>(hit.tier)];
+  return stolen;
 }
 
 void Worker::go_to_sleep(bool count_as_eviction) {

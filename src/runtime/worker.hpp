@@ -76,9 +76,9 @@ class RelaxedCounter {
 /// stride away, only the owner's own locality to keep.
 struct alignas(layout::kCacheLineBytes) WorkerStats {
   DWS_OWNED_BY(worker) RelaxedCounter tasks_executed;
-  DWS_OWNED_BY(worker) RelaxedCounter steal_attempts;
+  DWS_OWNED_BY(worker) RelaxedCounter steal_attempts;  ///< victim probes
   DWS_OWNED_BY(worker) RelaxedCounter steals;
-  DWS_OWNED_BY(worker) RelaxedCounter failed_steals;
+  DWS_OWNED_BY(worker) RelaxedCounter failed_steals;  ///< failed sweeps
   DWS_OWNED_BY(worker) RelaxedCounter yields;
   DWS_OWNED_BY(worker) RelaxedCounter sleeps;
   DWS_OWNED_BY(worker) RelaxedCounter wakes;
@@ -138,8 +138,8 @@ class Worker {
   [[nodiscard]] TaskSlabPool& pool() noexcept { return pool_; }
 
   /// One help-first scheduling step on behalf of a nested wait: pop own
-  /// deque, poll the inbox, or attempt one steal. Returns nullptr when no
-  /// task was found. Only callable from this worker's own thread.
+  /// deque, poll the inbox, or sweep the victims once. Returns nullptr when
+  /// no task was found. Only callable from this worker's own thread.
   TaskBase* find_task();
 
  private:
@@ -159,9 +159,8 @@ class Worker {
   Scheduler& sched_;
   const unsigned id_;
   DWS_OWNED_BY(worker) util::Xoshiro256 rng_;
-  /// Near-first victim ordering; its cursor/shuffle state is
-  /// worker-thread-only like rng_.
-  DWS_OWNED_BY(worker) TieredVictimOrder victim_order_;
+  /// Near-first victim sweep; immutable (its only input is rng_'s draw).
+  const TieredVictimOrder victim_order_;
   StealPolicy policy_;
   ChaseLevDeque<TaskBase*> deque_;  // line-isolates its own hot words
   TaskSlabPool pool_;               // line-isolates its own hot words

@@ -6,6 +6,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/victim_order.hpp"
+
 namespace dws::sim {
 
 namespace {
@@ -110,6 +112,9 @@ struct SimEngine::Impl {
 
   // Machine model shared with the coordinator drivers; matches socket_of.
   Topology topo;
+  // Victim order of each worker slot, ranked from the slot's home core
+  // (a BWS-migrated worker keeps its home ranking). Programs share them.
+  std::vector<TieredVictimOrder> victim_orders;  // [slot]
 
   // ---- event queue ----
   enum class Ev : int { kCoreSeg, kCoordTick, kWake, kSample };
@@ -174,6 +179,7 @@ struct SimEngine::Impl {
     }
     rng = util::Xoshiro256(params.seed);
     topo = params.topology();
+    for (CoreId c = 0; c < k; ++c) victim_orders.emplace_back(topo, c, k);
 
     table_storage = std::make_unique<CoreTableLocal>(k, m);
     table = &table_storage->table();
@@ -503,14 +509,14 @@ struct SimEngine::Impl {
       w.op_left = params.pop_cost_us;
       return true;
     }
-    // Become a thief. One Algorithm-1 "steal attempt" is modelled as a
-    // *victim sweep*: probe the program's other workers in random order
-    // and take from the first non-empty pool. Production runtimes count
-    // steal failures the same way (TBB scans the arena; BWS counts full
-    // sweeps; MIT Cilk's thieves probe at sub-microsecond rate, so 16
-    // single-victim failures span only ~20 us of real time — far finer
-    // than the coordinator timescale the T_SLEEP threshold is balanced
-    // against in §4.3). The sweep resolves at op completion.
+    // Become a thief. One Algorithm-1 "steal attempt" is a *victim
+    // sweep*, as in the runtime: probe the program's other workers
+    // near-first and take from the first non-empty pool. Production
+    // runtimes count steal failures the same way (TBB scans the arena;
+    // BWS counts full sweeps; MIT Cilk's thieves probe at sub-microsecond
+    // rate, so 16 single-victim failures span only ~20 us of real time —
+    // far finer than the coordinator timescale the T_SLEEP threshold is
+    // balanced against in §4.3). The sweep resolves at op completion.
     w.op = Op::kSteal;
     // Exponential backoff on sustained failure (as real thieves do):
     // keeps both the simulated machine and the simulator itself from
@@ -541,15 +547,11 @@ struct SimEngine::Impl {
     DistanceTier tier = DistanceTier::kVeryNear;
   };
 
-  /// Resolve a steal sweep for worker wi: probe this program's other
-  /// workers and steal the oldest task from the first non-empty pool.
-  /// The probe order is near-first — all same-group victims, then
-  /// same-socket, then each remote tier — with a random rotation within
-  /// each tier so equally-near victims share the load (on a flat machine,
-  /// the paper's random-start circular sweep). Returns
-  /// the node plus the victim's distance tier (for the per-tier counters
-  /// and the migration charge). Under work-sharing the "sweep" is a poll
-  /// of the central FIFO.
+  /// Resolve a steal sweep for worker wi: TieredVictimOrder::sweep over
+  /// this program's other workers, stealing the oldest task from the first
+  /// non-empty pool. Returns the node plus the victim's distance tier (for
+  /// the per-tier counters and the migration charge). Under work-sharing
+  /// the "sweep" is a poll of the central FIFO.
   SweepResult resolve_steal_sweep(unsigned wi) {
     WorkerSt& w = workers[wi];
     ProgSt& p = progs[w.prog];
@@ -559,28 +561,15 @@ struct SimEngine::Impl {
       p.central.pop_front();
       return {node, DistanceTier::kVeryNear};
     }
-    if (k == 1) return {};  // no victims exist
-    // Iterate the program's k worker slots from a random start (slot
-    // index, not core: BWS migration can detach workers from their
-    // original cores). Distance is measured between *current* cores for
-    // the same reason.
-    const unsigned start = static_cast<unsigned>(rng.next_below(k));
-    for (unsigned tier = 0; tier < kNumDistanceTiers; ++tier) {
-      for (unsigned off = 0; off < k; ++off) {
-        const unsigned slot = (start + off) % k;
-        const unsigned victim_idx = widx(w.prog, slot);
-        if (victim_idx == wi) continue;
-        WorkerSt& victim = workers[victim_idx];
-        const DistanceTier d = topo.distance(w.core, victim.core);
-        if (static_cast<unsigned>(d) != tier || victim.pool.empty()) {
-          continue;
-        }
-        const NodeId node = victim.pool.front();
-        victim.pool.pop_front();
-        return {node, d};
-      }
-    }
-    return {};
+    SweepResult out;
+    victim_orders[wi % k].sweep(rng, [&](VictimPick pick) {
+      WorkerSt& victim = workers[widx(w.prog, pick.victim)];
+      if (victim.pool.empty()) return false;
+      out = {victim.pool.front(), pick.tier};
+      victim.pool.pop_front();
+      return true;
+    });
+    return out;
   }
 
   void worker_sleep(unsigned wi, bool eviction) {

@@ -411,6 +411,33 @@ TEST(SchedulerStats, PerTierStealCountersPartitionTheTotals) {
   }
 }
 
+// A failed steal is a failed sweep: it probes every one of the k-1
+// victims before T_SLEEP counts it, exactly as the simulator counts
+// (one probe per failed steal would leave steal_attempts at
+// steals + failed_steals).
+TEST(SchedulerStats, AFailedStealProbesEveryVictim) {
+  constexpr unsigned k = 4;
+  Scheduler sched(make_config(SchedMode::kDws, k));
+  for (int round = 0; round < 10; ++round) {
+    parallel_for_each_index(sched, 0, 200, 4, [](std::int64_t) {});
+  }
+  // Quiesce: with no work left every worker sleeps after T_SLEEP failed
+  // sweeps and the counters stop moving.
+  SchedulerStats s = sched.stats();
+  ASSERT_TRUE(eventually([&] {
+    const SchedulerStats cur = sched.stats();
+    const bool stable =
+        cur.totals.steal_attempts == s.totals.steal_attempts &&
+        cur.totals.failed_steals == s.totals.failed_steals;
+    s = cur;
+    return stable && sched.sleeping_workers() == k;
+  }));
+  for (const WorkerStats& w : s.per_worker) {
+    EXPECT_GT(w.failed_steals, 0u);
+    EXPECT_GE(w.steal_attempts, (k - 1) * w.failed_steals);
+  }
+}
+
 // With a 2-socket machine model, successful steals concentrate in the
 // near tier: same-socket victims are always probed first, so a
 // cross-socket steal requires the thief's whole socket to be empty at

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -193,45 +194,64 @@ TEST(TieredVictimOrder, NearVictimsAreProbedBeforeRemoteOnes) {
   }
 }
 
-TEST(TieredVictimOrder, RestartRewindsToTheNearestTier) {
-  const Topology topo = Topology::synthetic(16, 2);
-  util::Xoshiro256 rng(11);
-  TieredVictimOrder order(topo, /*self=*/0, 16);
-  // Walk deep into the far tier, then simulate a successful steal.
-  for (int i = 0; i < 10; ++i) (void)order.next(rng);
-  order.restart();
-  const VictimPick pick = order.next(rng);
-  EXPECT_EQ(pick.tier, DistanceTier::kNear)
-      << "a fresh hunger episode must start near-first";
-}
-
-TEST(TieredVictimOrder, WithinTierOrderIsShuffledAcrossSweeps) {
+TEST(TieredVictimOrder, SweepStartVariesAcrossSweeps) {
   const Topology topo = Topology::uniform(16);
   util::Xoshiro256 rng(3);
-  TieredVictimOrder order(topo, /*self=*/0, 16);
-  std::vector<std::vector<unsigned>> sweeps;
+  const TieredVictimOrder order(topo, /*self=*/0, 16);
+  // Every probe fails, so each sweep's first probe is its start slot
+  // (or the next victim after it). Six identical first probes out of
+  // 16 possible starts means the start draw is not happening.
+  std::set<unsigned> first_probes;
   for (int s = 0; s < 6; ++s) {
-    std::vector<unsigned> one;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      one.push_back(order.next(rng).victim);
-    }
-    sweeps.push_back(std::move(one));
+    bool first = true;
+    (void)order.sweep(rng, [&](VictimPick pick) {
+      if (first) first_probes.insert(pick.victim);
+      first = false;
+      return false;
+    });
   }
-  // 15! orderings; six identical consecutive sweeps means the reshuffle
-  // is not happening.
-  bool any_different = false;
-  for (std::size_t s = 1; s < sweeps.size(); ++s) {
-    if (sweeps[s] != sweeps[0]) any_different = true;
+  EXPECT_GT(first_probes.size(), 1u);
+}
+
+/// Xoshiro256 that counts its draws.
+struct CountingRng {
+  util::Xoshiro256 inner{5};
+  int draws = 0;
+  std::uint64_t next_below(std::uint64_t bound) {
+    ++draws;
+    return inner.next_below(bound);
   }
-  EXPECT_TRUE(any_different);
+};
+
+TEST(TieredVictimOrder, ASweepDrawsExactlyOnce) {
+  const Topology topo = Topology::synthetic(8, 2, 2);
+  const TieredVictimOrder order(topo, /*self=*/3, 8);
+  CountingRng rng;
+  int probes = 0;
+  const VictimPick hit = order.sweep(rng, [&](VictimPick) {
+    ++probes;
+    return false;
+  });
+  EXPECT_EQ(hit.victim, kNoVictim);
+  EXPECT_EQ(probes, 7);
+  EXPECT_EQ(rng.draws, 1);
+  // A sweep that hits on its first probe still drew once.
+  (void)order.sweep(rng, [](VictimPick) { return true; });
+  EXPECT_EQ(rng.draws, 2);
 }
 
 TEST(TieredVictimOrder, SingleWorkerHasNoVictims) {
   const Topology topo = Topology::uniform(1);
-  util::Xoshiro256 rng(1);
+  CountingRng rng;
   TieredVictimOrder order(topo, 0, 1);
   EXPECT_TRUE(order.empty());
   EXPECT_EQ(order.next(rng).victim, kNoVictim);
+  bool probed = false;
+  const VictimPick hit =
+      order.sweep(rng, [&](VictimPick) { return probed = true; });
+  EXPECT_EQ(hit.victim, kNoVictim);
+  EXPECT_FALSE(probed);
+  EXPECT_EQ(rng.draws, 0) << "a single-worker order must never draw";
 }
 
 }  // namespace
