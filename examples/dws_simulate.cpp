@@ -12,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/profiles.hpp"
@@ -123,8 +125,14 @@ int main(int argc, char** argv) {
     specs.push_back(s);
   }
 
-  sim::SimEngine engine(params, specs);
-  const sim::SimResult r = engine.run();
+  std::unique_ptr<sim::SimEngine> engine;
+  try {
+    engine = std::make_unique<sim::SimEngine>(params, specs);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "invalid simulation: " << e.what() << "\n";
+    return 1;
+  }
+  const sim::SimResult r = engine->run();
 
   std::cout << "simulated " << params.num_cores << " cores / "
             << params.num_sockets << " sockets; total virtual time "

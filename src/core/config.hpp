@@ -28,13 +28,6 @@ struct Config {
   /// Coordinator wake-up period T in milliseconds (§3.4 suggests 10 ms).
   double coordinator_period_ms = 10.0;
 
-  /// A sleeping-worker wake is considered only when the average backlog
-  /// per active worker (N_b / N_a) reaches this many tasks (§3.3: "if each
-  /// worker only needs to process a few tasks on average, the coordinator
-  /// will not wake up sleeping workers"). The paper's Eq. 1 corresponds
-  /// to a threshold of 1.
-  double wake_threshold = 1.0;
-
   /// Socket count of the machine model (core/topology.hpp): cores are
   /// split contiguously across sockets. 1 models a flat machine; 0 asks
   /// for sysfs auto-detection (with the flat layout as deterministic
@@ -47,13 +40,6 @@ struct Config {
   /// Seed for victim-selection randomness (each worker's sweep start).
   std::uint64_t seed = 0x5eed5eed5eedULL;
 
-  /// §4.4 extension: run this program under *work-sharing* — every spawn
-  /// goes to the scheduler's central queue instead of the spawning
-  /// worker's deque. The sleep/wake policy and coordinator operate
-  /// unchanged (the paper's claim that DWS transfers to other dynamic
-  /// load-balancing models).
-  bool work_sharing = false;
-
   /// Crash tolerance: a co-runner whose liveness epoch has not advanced
   /// for this many consecutive coordinator periods (~K·T of wall time) is
   /// probed with kill(pid, 0) and, if the OS confirms the process is
@@ -61,15 +47,6 @@ struct Config {
   /// the stale sweep (heartbeats are still published so *other* programs
   /// can track us).
   unsigned stale_after_periods = 5;
-
-  /// §6 extension: adapt T_SLEEP online. A worker woken sooner than
-  /// adaptive_short_sleep_ms after going to sleep doubles the program's
-  /// threshold (capped at 64 x max(base, 1)); the coordinator decays it
-  /// back each period. Same rule as the simulator (AdaptiveTSleep). Off
-  /// by default (the paper fixes T_SLEEP = k).
-  bool adaptive_t_sleep = false;
-  /// "Premature sleep" horizon; <= 0 selects coordinator_period_ms.
-  double adaptive_short_sleep_ms = -1.0;
 
   /// Resolved T_SLEEP for a k-core machine.
   [[nodiscard]] constexpr int effective_t_sleep(unsigned k) const noexcept {

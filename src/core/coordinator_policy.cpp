@@ -19,14 +19,9 @@ WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) const noexcept {
       s.active_workers > 0 ? static_cast<double>(s.queued_tasks) /
                                  static_cast<double>(s.active_workers)
                            : static_cast<double>(s.queued_tasks);
-  if (backlog_per_worker < wake_threshold_) return d;
-  // Round to the nearest worker. Truncation here silently turned any
-  // sub-1 demand that passed a wake_threshold < 1 into "wake zero", which
-  // made such thresholds inert; rounding keeps Eq. 1's intent, and a
-  // demand that still rounds to zero genuinely wakes no one.
-  const auto n_w_rounded = std::llround(backlog_per_worker);
-  if (n_w_rounded <= 0) return d;
-  auto n_w = static_cast<unsigned>(n_w_rounded);
+  if (backlog_per_worker < 1.0) return d;
+  // Round to the nearest worker (2.5 tasks per worker wakes 3).
+  auto n_w = static_cast<unsigned>(std::llround(backlog_per_worker));
 
   // We cannot usefully wake more workers than are asleep.
   n_w = std::min(n_w, s.sleeping_workers);

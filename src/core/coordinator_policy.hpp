@@ -44,22 +44,20 @@ struct WakeDecision {
 
 class CoordinatorPolicy {
  public:
-  /// `wake_threshold`: minimum average backlog per active worker before
-  /// any wake-up happens (Config::wake_threshold; the paper's "a few
-  /// tasks on average" guard, 1.0 reproduces Eq. 1 exactly).
   /// `reclaim`: false treats N_r as 0, so lent home cores are never taken
   /// back (the simulator's SimParams::disable_reclaim ablation).
-  explicit constexpr CoordinatorPolicy(double wake_threshold = 1.0,
-                                       bool reclaim = true) noexcept
-      : wake_threshold_(wake_threshold), reclaim_(reclaim) {}
+  explicit constexpr CoordinatorPolicy(bool reclaim = true) noexcept
+      : reclaim_(reclaim) {}
 
-  /// Apply Eq. 1 and the three §3.3 cases. The result is additionally
-  /// capped at the number of sleeping workers (we cannot wake workers that
-  /// do not exist) and never wakes anyone when the backlog is empty.
+  /// Apply Eq. 1 and the three §3.3 cases. Nobody is woken below one
+  /// queued task per active worker (§3.3: "if each worker only needs to
+  /// process a few tasks on average, the coordinator will not wake up
+  /// sleeping workers"). The result is additionally capped at the number
+  /// of sleeping workers (we cannot wake workers that do not exist) and
+  /// never wakes anyone when the backlog is empty.
   [[nodiscard]] WakeDecision decide(const DemandSnapshot& s) const noexcept;
 
  private:
-  double wake_threshold_;
   bool reclaim_;
 };
 

@@ -94,19 +94,19 @@ class StealPolicy {
   int failed_steals_ = 0;
 };
 
-/// Adaptive T_SLEEP (§6 extension; Config::adaptive_t_sleep): the paper
-/// fixes T_SLEEP = k and sketches adaptivity as future work. A sleep cut
-/// short means the threshold fired prematurely, so the program-wide
-/// threshold doubles; each coordinator period decays it back toward the
-/// configured base. The state is a double so the decay is not lost to
-/// truncation; workers compare against threshold(state). Both executors
-/// step their state with these functions only.
+/// Adaptive T_SLEEP (§6 extension; the simulator's
+/// SimParams::adaptive_t_sleep): the paper fixes T_SLEEP = k and sketches
+/// adaptivity as future work. A sleep cut short means the threshold fired
+/// prematurely, so the program-wide threshold doubles; each coordinator
+/// period decays it back toward the configured base. The state is a
+/// double so the decay is not lost to truncation; workers compare against
+/// threshold(state).
 struct AdaptiveTSleep {
-  /// A sleep of `slept` (any time unit) was premature when shorter than
-  /// `horizon`; a horizon <= 0 means one coordinator `period`.
-  [[nodiscard]] static constexpr bool premature(double slept, double horizon,
+  /// A sleep of `slept` was premature when shorter than one coordinator
+  /// `period` (same time unit).
+  [[nodiscard]] static constexpr bool premature(double slept,
                                                 double period) noexcept {
-    return slept < (horizon > 0.0 ? horizon : period);
+    return slept < period;
   }
   /// Double (from 0, step to 1), capped at 64 x max(base, 1).
   [[nodiscard]] static constexpr double escalate(double cur,

@@ -51,8 +51,8 @@ Topology Topology::synthetic(unsigned num_cores, unsigned num_sockets,
   num_sockets = std::clamp(num_sockets, 1u, num_cores);
   smt_per_core = std::clamp(smt_per_core, 1u, num_cores);
 
-  // Same contiguous ceil-division split as SimParams::socket_of, so the
-  // simulator's cache model and this machine model always agree.
+  // Contiguous ceil-division split; the simulator's cache model reads
+  // its sockets from here too.
   const unsigned per = (num_cores + num_sockets - 1) / num_sockets;
   std::vector<std::uint8_t> socket_of(num_cores);
   std::vector<std::uint32_t> group_of(num_cores);

@@ -11,7 +11,7 @@
 // work-stealing time bounds while cutting remote traffic.
 //
 // Construction is either synthetic (deterministic: sockets split the cores
-// contiguously, matching SimParams::socket_of) or auto-detected from
+// contiguously, as the simulator models them) or auto-detected from
 // sysfs, with the synthetic single-socket layout as the fallback so a
 // build without /sys (containers, non-Linux) behaves identically
 // everywhere. The type is immutable after construction and cheap to copy.
@@ -52,10 +52,10 @@ class Topology {
   Topology() : Topology(synthetic(1, 1)) {}
 
   /// Deterministic synthetic machine: `num_sockets` sockets splitting the
-  /// cores contiguously (the same ceil-division split as
-  /// SimParams::socket_of), sockets arranged in a linear chain (socket i
-  /// and i+1 are adjacent), and optionally `smt_per_core` consecutive
-  /// cores forming one physical core (SMT siblings). num_sockets and
+  /// cores contiguously (socket = core / ceil(num_cores / num_sockets)),
+  /// sockets arranged in a linear chain (socket i and i+1 are adjacent),
+  /// and optionally `smt_per_core` consecutive cores forming one physical
+  /// core (SMT siblings). num_sockets and
   /// smt_per_core are clamped to [1, num_cores].
   [[nodiscard]] static Topology synthetic(unsigned num_cores,
                                           unsigned num_sockets,

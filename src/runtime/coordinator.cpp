@@ -7,7 +7,7 @@
 namespace dws::rt {
 
 Coordinator::Coordinator(Scheduler& sched)
-    : sched_(sched), policy_(sched.config().wake_threshold) {
+    : sched_(sched) {
   if (mode_space_shares(sched_.mode())) {
     // Anchor the topology-aware ordering at the program's first home core
     // (the home partition is contiguous, so one anchor represents it).
@@ -60,9 +60,6 @@ void Coordinator::nudge() noexcept {
 
 void Coordinator::tick() {
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  if (sched_.config().adaptive_t_sleep) {
-    sched_.step_t_sleep(&AdaptiveTSleep::decay);
-  }
 
   if (driver_ != nullptr) {
     // Liveness: tell co-runners we are alive, then recover from any that

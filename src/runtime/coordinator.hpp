@@ -25,7 +25,7 @@ class Scheduler;
 
 class Coordinator {
  public:
-  /// Period T and the wake threshold come from `sched.config()`.
+  /// Period T comes from `sched.config()`.
   explicit Coordinator(Scheduler& sched);
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;

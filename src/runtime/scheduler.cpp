@@ -2,8 +2,8 @@
 
 #include <unistd.h>
 
-#include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 #include "util/affinity.hpp"
 
@@ -12,15 +12,18 @@ namespace dws::rt {
 Scheduler::Scheduler(const Config& cfg, CoreTable* shared_table) : cfg_(cfg) {
   if (cfg_.num_cores == 0) cfg_.num_cores = util::hardware_cores();
   const unsigned k = cfg_.num_cores;
-  cur_t_sleep_.store(cfg_.effective_t_sleep(k), std::memory_order_relaxed);
   // Machine model before any worker exists: workers bucket their victims
   // by distance at construction.
   topology_ = make_topology(cfg_, k);
 
   if (mode_space_shares(cfg_.mode)) {
     if (shared_table != nullptr) {
-      assert(shared_table->num_cores() == k &&
-             "shared table width must match Config::num_cores");
+      // Workers index the table by core id: a narrower table would be
+      // read past its end.
+      if (shared_table->num_cores() != k) {
+        throw std::invalid_argument(
+            "shared core table width must match Config::num_cores");
+      }
       table_ = shared_table;
     } else {
       owned_table_ = std::make_unique<CoreTableLocal>(k, cfg_.num_programs);
@@ -79,13 +82,12 @@ Scheduler::~Scheduler() {
 void Scheduler::enqueue(TaskBase* task, Worker* w) {
   const std::int64_t prev =
       total_pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (!cfg_.work_sharing && w != nullptr) {
+  if (w != nullptr) {
     // Algorithm 1's common case: spawn onto the spawning worker's deque.
     w->deque().push(task);
     return;
   }
-  // External submission — or every submission under work-sharing (§4.4
-  // extension), where the inbox doubles as the program's central queue.
+  // External submission: through the injection inbox.
   {
     std::lock_guard<std::mutex> lock(inbox_m_);
     task->set_inbox_next(nullptr);
@@ -216,16 +218,6 @@ unsigned Scheduler::sleeping_workers() const noexcept {
     if (w->state() == Worker::State::kSleeping) ++n;
   }
   return n;
-}
-
-void Scheduler::step_t_sleep(double (*step)(double, int)) noexcept {
-  const int base = cfg_.effective_t_sleep(cfg_.num_cores);
-  double cur = cur_t_sleep_.load(std::memory_order_relaxed);
-  double next = step(cur, base);
-  while (next != cur && !cur_t_sleep_.compare_exchange_weak(
-                            cur, next, std::memory_order_relaxed)) {
-    next = step(cur, base);
-  }
 }
 
 SchedulerStats Scheduler::stats() const {

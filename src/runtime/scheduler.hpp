@@ -19,7 +19,6 @@
 
 #include "core/config.hpp"
 #include "core/core_table.hpp"
-#include "core/steal_policy.hpp"
 #include "core/topology.hpp"
 #include "core/types.hpp"
 #include "runtime/coordinator.hpp"
@@ -198,19 +197,6 @@ class Scheduler {
   }
 #endif
 
-  // ---- adaptive T_SLEEP (§6 extension; see Config::adaptive_t_sleep) ----
-
-  /// The program's current threshold (== the configured one when the
-  /// adaptive controller is off).
-  [[nodiscard]] int current_t_sleep() const noexcept {
-    return AdaptiveTSleep::threshold(
-        cur_t_sleep_.load(std::memory_order_relaxed));
-  }
-  /// CAS the program's state to step(state, base) for one AdaptiveTSleep
-  /// step: escalate from a worker whose sleep was cut short, decay from
-  /// the coordinator each period.
-  void step_t_sleep(double (*step)(double, int)) noexcept;
-
  private:
   friend class Worker;
   friend struct dws::layout::Access;  // layout_audit reads private layouts
@@ -260,13 +246,11 @@ class Scheduler {
   alignas(layout::kCacheLineBytes) DWS_SHARED std::mutex gate_m_;
   DWS_SHARED std::condition_variable gate_cv_;
 
-  // Control words: written rarely (shutdown once, T_SLEEP escalation on
-  // sleep-cut events), read on worker loops — keep them off the gate
-  // lines so a gate broadcast does not invalidate every reader.
+  // Control words: written rarely (shutdown once), read on worker loops —
+  // keep them off the gate lines so a gate broadcast does not invalidate
+  // every reader.
   alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<bool> shutdown_{
       false};
-  // AdaptiveTSleep state; resolved to the base in the constructor.
-  DWS_SHARED std::atomic<double> cur_t_sleep_{0.0};
 #ifndef DWS_RACE_DISABLED
   DWS_SHARED std::atomic<race::ExecHook*> exec_hook_{nullptr};
 #endif

@@ -1,7 +1,5 @@
 #include "runtime/worker.hpp"
 
-#include <chrono>
-
 #include "runtime/scheduler.hpp"
 #include "util/affinity.hpp"
 
@@ -94,7 +92,6 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     // CAS-guarded: fails harmlessly when the core was reclaimed from us.
     sched_.table()->release(id_, sched_.pid());
   }
-  const auto slept_at = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(m_);
     cv_.wait(lock, [this] {
@@ -104,16 +101,6 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     state_.store(static_cast<int>(State::kActive), std::memory_order_release);
   }
   ++stats_.wakes;
-  const Config& cfg = sched_.config();
-  if (cfg.adaptive_t_sleep && !sched_.shutdown_requested()) {
-    const double slept_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - slept_at)
-                                .count();
-    if (AdaptiveTSleep::premature(slept_ms, cfg.adaptive_short_sleep_ms,
-                                  cfg.coordinator_period_ms)) {
-      sched_.step_t_sleep(&AdaptiveTSleep::escalate);
-    }
-  }
 }
 
 void Worker::idle_gate_block() {
@@ -132,10 +119,12 @@ void Worker::thread_main() {
   pool_.bind_owner();
   if (sched_.config().pin_threads) util::pin_this_thread(id_);
 
-  // EP: workers outside the static home partition never run (§2.2 —
-  // equipartition is not adaptive; that is exactly its weakness).
-  if (sched_.mode() == SchedMode::kEp &&
-      sched_.table()->home_of(id_) != sched_.pid()) {
+  // EP: a worker on a core its program does not hold at start never runs
+  // (§2.2 — equipartition never adjusts; that is exactly its weakness).
+  // That covers cores outside the home partition and home cores another
+  // program already holds; EP never releases a core, so the ones it does
+  // hold stay its own.
+  if (sched_.mode() == SchedMode::kEp && should_vacate()) {
     state_.store(static_cast<int>(State::kParked), std::memory_order_release);
     std::unique_lock<std::mutex> lock(m_);
     cv_.wait(lock, [this] { return sched_.shutdown_requested(); });
@@ -152,11 +141,6 @@ void Worker::thread_main() {
     // the initial equipartition (non-home workers park here at startup)
     // and the take-back protocol (§3.3 constraint 2).
     if (space_sharing && should_vacate()) {
-      if (sched_.mode() == SchedMode::kEp) {
-        // EP home cores are never exchanged, so this cannot happen; guard
-        // anyway to keep the invariant explicit.
-        break;
-      }
       go_to_sleep(/*count_as_eviction=*/true);
       continue;
     }
@@ -178,9 +162,6 @@ void Worker::thread_main() {
       continue;
     }
 
-    if (sched_.config().adaptive_t_sleep) {
-      policy_.set_t_sleep(sched_.current_t_sleep());
-    }
     switch (policy_.on_steal_failed()) {
       case StealOutcome::kRetry:
         // CLASSIC: busy spin; a pause instruction keeps the hyperthread

@@ -99,7 +99,7 @@ class Worker {
   enum class State : int {
     kActive = 0,    ///< running the Algorithm-1 loop
     kSleeping = 1,  ///< released its core; wakeable by the coordinator
-    kParked = 2,    ///< EP worker outside the home partition; never woken
+    kParked = 2,    ///< EP worker on a core its program lacks; never woken
   };
 
   Worker(Scheduler& sched, unsigned id);

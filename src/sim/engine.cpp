@@ -88,7 +88,7 @@ struct SimEngine::Impl {
     unsigned runs_done = 0;
     std::vector<double> run_times;
     double run_start = 0.0;
-    CoordinatorPolicy policy{1.0};
+    CoordinatorPolicy policy;
     std::unique_ptr<CoordinatorDriver> driver;
     std::uint64_t ticks = 0, claims = 0, reclaims = 0;
     CoreId start_core = 0;
@@ -110,7 +110,7 @@ struct SimEngine::Impl {
 
   util::Xoshiro256 rng{0};
 
-  // Machine model shared with the coordinator drivers; matches socket_of.
+  // Machine model shared with the coordinator drivers and the cache model.
   Topology topo;
   // Victim order of each worker slot, ranked from the slot's home core
   // (a BWS-migrated worker keeps its home ranking). Programs share them.
@@ -162,6 +162,7 @@ struct SimEngine::Impl {
     k = params.num_cores;
     m = static_cast<unsigned>(specs.size());
     if (k == 0 || m == 0) throw std::invalid_argument("need cores, programs");
+    if (params.num_sockets == 0) throw std::invalid_argument("need sockets");
     for (double speed : params.core_speeds) {
       if (!(speed > 0.0)) {
         throw std::invalid_argument("core speeds must be positive");
@@ -186,12 +187,12 @@ struct SimEngine::Impl {
 
     cores.resize(k);
     for (auto& c : cores) c.exec_by.assign(m, 0.0);
-    sockets.resize(params.num_sockets);
+    sockets.resize(topo.num_sockets());
     for (auto& s2 : sockets) s2.exec_by.assign(m, 0.0);
     core_warmth.assign(k, std::vector<double>(m, 0.0));
     core_foreign_seen.assign(k, std::vector<double>(m, 0.0));
-    llc_warmth.assign(params.num_sockets, std::vector<double>(m, 0.0));
-    llc_foreign_seen.assign(params.num_sockets, std::vector<double>(m, 0.0));
+    llc_warmth.assign(topo.num_sockets(), std::vector<double>(m, 0.0));
+    llc_foreign_seen.assign(topo.num_sockets(), std::vector<double>(m, 0.0));
 
     progs.resize(m);
     workers.resize(static_cast<std::size_t>(m) * k);
@@ -201,8 +202,7 @@ struct SimEngine::Impl {
       p2.spec = specs[pi];
       p2.pid = table->register_program();
       p2.base_joins = p2.spec.dag->join_counts();
-      p2.policy =
-          CoordinatorPolicy(params.wake_threshold, !params.disable_reclaim);
+      p2.policy = CoordinatorPolicy(!params.disable_reclaim);
       p2.cur_t_sleep = static_cast<double>(params.effective_t_sleep());
 
       const bool shares = mode_space_shares(p2.spec.mode);
@@ -360,7 +360,7 @@ struct SimEngine::Impl {
     const double mi = mem_intensity_of(p, w.exec_node);
     if (mi <= 0.0) return 1.0;
     CoreSt& c = cores[w.core];
-    const unsigned s = params.socket_of(w.core);
+    const unsigned s = topo.socket_of(w.core);
     const double wc =
         touch_warmth(core_warmth[w.core], core_foreign_seen[w.core], w.prog,
                      c.exec_total, c.exec_by[w.prog], params.core_decay_us);
@@ -374,7 +374,7 @@ struct SimEngine::Impl {
 
   void account_exec(WorkerSt& w, double elapsed) {
     CoreSt& c = cores[w.core];
-    const unsigned s = params.socket_of(w.core);
+    const unsigned s = topo.socket_of(w.core);
     // Decay first (so our own elapsed time is not counted as foreign),
     // then warm our own entries.
     touch_warmth(core_warmth[w.core], core_foreign_seen[w.core], w.prog,
@@ -811,7 +811,6 @@ struct SimEngine::Impl {
     // Adaptive T_SLEEP: a sleep cut short escalates the threshold.
     if (params.adaptive_t_sleep &&
         AdaptiveTSleep::premature(now - w.slept_at,
-                                  params.adaptive_short_sleep_us,
                                   params.coordinator_period_us)) {
       step_t_sleep(w.prog, &AdaptiveTSleep::escalate);
     }

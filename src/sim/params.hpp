@@ -72,23 +72,20 @@ struct SimParams {
   /// cache factor tracks warmth evolution.
   double cache_update_granularity_us = 500.0;
 
-  // ---- Scheduling policy knobs (mirror Config) ----
+  // ---- Scheduling policy knobs ----
   int t_sleep = -1;                     ///< -1 => k (§3.4)
   double coordinator_period_us = 10000; ///< T = 10 ms (§3.4)
-  double wake_threshold = 1.0;
   /// Ablation: when true, DWS coordinators never reclaim lent home cores
   /// (CoordinatorPolicy treats N_r as 0) — isolates the value of the
   /// take-back constraint.
   bool disable_reclaim = false;
-  /// Extension (§6 future work): adapt T_SLEEP online per program. A
-  /// worker woken less than adaptive_short_sleep_us after it slept was
-  /// put to sleep prematurely: the program's threshold doubles (capped
-  /// at 64 x max(base, 1)); each coordinator tick decays it
-  /// multiplicatively back toward the base value. Same rule as the
-  /// runtime (AdaptiveTSleep). Off by default (the paper uses a fixed k).
+  /// Extension (§6 future work): adapt T_SLEEP online per program
+  /// (AdaptiveTSleep). A worker woken less than one coordinator period
+  /// after it slept was put to sleep prematurely: the program's threshold
+  /// doubles (capped at 64 x max(base, 1)); each coordinator tick decays
+  /// it multiplicatively back toward the base value. Off by default (the
+  /// paper uses a fixed k).
   bool adaptive_t_sleep = false;
-  /// "Premature sleep" horizon; <= 0 selects the coordinator period.
-  double adaptive_short_sleep_us = -1.0;
 
   // ---- Simulation control ----
   std::uint64_t seed = 0xD5EED;
@@ -106,12 +103,8 @@ struct SimParams {
   [[nodiscard]] int effective_t_sleep() const noexcept {
     return t_sleep >= 0 ? t_sleep : static_cast<int>(num_cores);
   }
-  [[nodiscard]] unsigned socket_of(CoreId core) const noexcept {
-    const unsigned per = (num_cores + num_sockets - 1) / num_sockets;
-    return core / per;
-  }
-  /// The machine model matching this parameter set (same contiguous
-  /// core-to-socket split as socket_of).
+  /// The machine model matching this parameter set: cores split
+  /// contiguously across num_sockets sockets.
   [[nodiscard]] Topology topology() const {
     return Topology::synthetic(num_cores, num_sockets);
   }

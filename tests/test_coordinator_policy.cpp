@@ -92,40 +92,12 @@ TEST(CoordinatorPolicy, StalledProgramWakesAtLeastOneWithSingleTask) {
   EXPECT_EQ(d.total(), 1u);
 }
 
-TEST(CoordinatorPolicy, HigherThresholdSuppressesMarginalWakes) {
-  CoordinatorPolicy strict(4.0);
-  EXPECT_EQ(strict.decide(snap(12, 4, 8, 0, 8)).total(), 0u);  // 3 < 4
-  EXPECT_EQ(strict.decide(snap(16, 4, 8, 0, 8)).total(), 4u);  // 4 >= 4
-}
-
-TEST(CoordinatorPolicy, SubUnityThresholdWakesOnFractionalDemand) {
-  // Regression: Eq. 1 demand was truncated with static_cast<unsigned>, so
-  // a wake_threshold < 1 was inert — a backlog per worker in
-  // (threshold, 1) passed the guard but then truncated to zero wakes.
-  // Demand now rounds to the nearest worker.
-  CoordinatorPolicy eager(0.5);
-  // N_w = 3/4 = 0.75: above the 0.5 threshold, rounds to 1 worker.
-  const WakeDecision d = eager.decide(snap(3, 4, 8, 0, 8));
-  EXPECT_EQ(d.total(), 1u);
-  EXPECT_EQ(d.wake_on_free, 1u);
-}
-
 TEST(CoordinatorPolicy, DemandRoundingIsNearest) {
   CoordinatorPolicy p;
   // 10/4 = 2.5 rounds (half away from zero) to 3, not truncates to 2.
   EXPECT_EQ(p.decide(snap(10, 4, 8, 0, 8)).total(), 3u);
   // 9/4 = 2.25 rounds down to 2.
   EXPECT_EQ(p.decide(snap(9, 4, 8, 0, 8)).total(), 2u);
-}
-
-TEST(CoordinatorPolicy, DemandRoundingToZeroWakesNoOne) {
-  // With a very low threshold a demand that rounds to zero workers must
-  // early-return an empty decision, not underflow or wake anyone.
-  CoordinatorPolicy eager(0.1);
-  const WakeDecision d = eager.decide(snap(1, 5, 8, 4, 8));  // N_w = 0.2
-  EXPECT_EQ(d.total(), 0u);
-  EXPECT_EQ(d.wake_on_free, 0u);
-  EXPECT_EQ(d.wake_on_reclaim, 0u);
 }
 
 // Property sweep over a grid of snapshots: the three paper constraints
@@ -361,7 +333,7 @@ TEST_P(CoordinatorStepTest, WakesExactlyTheDecidedWorkers) {
   CoordinatorDriver driver(t, me, &topo, /*home_core=*/4);
   FakeExecutor exec(tc.queued, tc.asleep);
   const CoordinatorStep step = run_coordinator_step(
-      CoordinatorPolicy(1.0, tc.reclaim), tc.with_driver ? &driver : nullptr,
+      CoordinatorPolicy(tc.reclaim), tc.with_driver ? &driver : nullptr,
       exec.demand(), FakeExecutor::kCores,
       [&exec](CoreId c, WakeReason why) { return exec.wake(c, why); });
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -232,6 +233,42 @@ TEST(CoRun, FourEpProgramsKeepDisjointStaticPartitions) {
   for (auto& p : programs) {
     EXPECT_EQ(shared.table().count_active(p->pid()), 2u);
   }
+}
+
+TEST(CoRun, EpWorkerParksOnAHomeCoreAnotherProgramHolds) {
+  // A squatter (pid 1) holds core 2 before the EP program (pid 2, home
+  // cores 2-3) starts, so EP gets only core 3. Its worker 2 must park, not
+  // exit while still reporting Active.
+  CoreTableLocal shared(4, 2);
+  CoreTable& table = shared.table();
+  const ProgramId squatter = table.register_program();
+  ASSERT_EQ(squatter, 1u);
+  ASSERT_TRUE(table.try_claim(2, squatter));
+  Scheduler ep(corun_config(SchedMode::kEp, 4, 2), &table);
+  ASSERT_EQ(ep.pid(), 2u);
+
+  EXPECT_TRUE(eventually([&] { return ep.active_workers() == 1; }))
+      << "active_workers() = " << ep.active_workers();
+  EXPECT_EQ(ep.worker_at(2).state(), Worker::State::kParked);
+  EXPECT_EQ(ep.worker_at(3).state(), Worker::State::kActive);
+
+  std::atomic<int> count{0};
+  parallel_for_each_index(ep, 0, 500, 8, [&](std::int64_t) {
+    spin_work(50);
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(count.load(), 500);
+  EXPECT_EQ(ep.stats().per_worker[2].tasks_executed, 0u);
+}
+
+TEST(CoRun, SharedTableNarrowerThanTheMachineIsRejected) {
+  // Workers index the table by core id: a 2-core table under a 4-core
+  // Scheduler would be read past its end.
+  CoreTableLocal narrow(2, 1);
+  EXPECT_THROW(Scheduler(corun_config(SchedMode::kDws, 4, 1), &narrow.table()),
+               std::invalid_argument);
+  // Nothing was registered before the check.
+  EXPECT_EQ(narrow.table().registered_programs(), 0u);
 }
 
 TEST(CoRun, MixedWidthsThreeDwsPrograms) {

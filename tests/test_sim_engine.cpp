@@ -281,6 +281,15 @@ TEST(SimEngine, InvalidInputsThrow) {
   EXPECT_THROW(SimEngine(small_machine(2), four), std::invalid_argument);
 }
 
+TEST(SimEngine, ZeroSocketsThrow) {
+  // The cache model splits cores across sockets; zero sockets used to
+  // divide by zero mid-run instead of being rejected up front.
+  const TaskDag dag = make_serial_chain(2, 1.0, 0.0);
+  EXPECT_THROW(
+      SimEngine(small_machine(2, 0), {spec("x", SchedMode::kDws, &dag)}),
+      std::invalid_argument);
+}
+
 TEST(SimEngine, TimeLimitIsReported) {
   const TaskDag dag = make_serial_chain(1000, 1000.0, 0.0);
   SimParams params = small_machine(2);

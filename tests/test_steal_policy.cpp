@@ -263,10 +263,10 @@ TEST(AdaptiveTSleep, DecayKeepsFractionsAndStopsAtBase) {
   EXPECT_EQ(AdaptiveTSleep::decay(4.1, 4), 4.0);
 }
 
-TEST(AdaptiveTSleep, PrematureHorizonDefaultsToThePeriod) {
-  EXPECT_TRUE(AdaptiveTSleep::premature(5.0, -1.0, 10.0));
-  EXPECT_FALSE(AdaptiveTSleep::premature(10.0, 0.0, 10.0));
-  EXPECT_FALSE(AdaptiveTSleep::premature(5.0, 2.0, 10.0));
+TEST(AdaptiveTSleep, PrematureMeansShorterThanOnePeriod) {
+  EXPECT_TRUE(AdaptiveTSleep::premature(5.0, 10.0));
+  EXPECT_FALSE(AdaptiveTSleep::premature(10.0, 10.0));
+  EXPECT_FALSE(AdaptiveTSleep::premature(15.0, 10.0));
 }
 
 }  // namespace

@@ -35,21 +35,22 @@ TEST(Topology, SyntheticTwoSocketMatchesThePaperTestbed) {
 }
 
 TEST(Topology, SyntheticMatchesSimParamsSocketSplit) {
-  // The simulator's ceil-division split and the Topology factory must
-  // agree on every (cores, sockets) shape, or the cache model and the
-  // victim ordering would disagree about which steals are remote.
+  // The simulator's cache model and its victim ordering both read sockets
+  // from this split: contiguous blocks of ceil(k / s) cores, with more
+  // sockets than cores clamped to one core per socket.
   for (unsigned k : {1u, 2u, 3u, 7u, 8u, 15u, 16u, 17u}) {
     for (unsigned s : {1u, 2u, 3u, 4u}) {
       sim::SimParams params;
       params.num_cores = k;
       params.num_sockets = s;
-      const Topology t = params.topology();
+      const Topology t = params.topology();  // Topology::synthetic(k, s)
       ASSERT_EQ(t.num_cores(), k);
+      const unsigned sockets = s <= k ? s : k;
+      EXPECT_EQ(t.num_sockets(), sockets) << "k=" << k << " s=" << s;
+      const unsigned per = (k + sockets - 1) / sockets;
       for (CoreId c = 0; c < k; ++c) {
-        if (s <= k) {
-          EXPECT_EQ(t.socket_of(c), params.socket_of(c))
-              << "k=" << k << " s=" << s << " core=" << c;
-        }
+        EXPECT_EQ(t.socket_of(c), c / per)
+            << "k=" << k << " s=" << s << " core=" << c;
       }
     }
   }

@@ -154,7 +154,6 @@ struct Access {
       DWS_AUDIT_FIELD(gate_m_, "shared");
       DWS_AUDIT_FIELD(gate_cv_, "shared");
       DWS_AUDIT_FIELD(shutdown_, "shared");
-      DWS_AUDIT_FIELD(cur_t_sleep_, "shared");
 #ifndef DWS_RACE_DISABLED
       DWS_AUDIT_FIELD(exec_hook_, "shared");
 #endif
