@@ -42,11 +42,13 @@ void Coordinator::thread_main() {
       sched_.config().coordinator_period_ms);
   std::unique_lock<std::mutex> lock(m_);
   while (!stop_requested_) {
-    // Sleeping every T ms (§3.4). nudge() — a notify without stop — cuts
-    // the wait short so externally submitted work on a fully-asleep
-    // program is picked up promptly.
-    cv_.wait_for(lock, period);
+    // Sleeping every T ms (§3.4). nudge() cuts the wait short so
+    // externally submitted work on a fully-asleep program is picked up
+    // promptly; its flag outlives a nudge that lands mid-tick, which then
+    // ends the next wait at once instead of being lost for a period.
+    cv_.wait_for(lock, period, [this] { return nudged_ || stop_requested_; });
     if (stop_requested_) break;
+    nudged_ = false;
     lock.unlock();
     tick();
     lock.lock();
@@ -55,6 +57,7 @@ void Coordinator::thread_main() {
 
 void Coordinator::nudge() noexcept {
   std::lock_guard<std::mutex> lock(m_);
+  nudged_ = true;
   cv_.notify_all();
 }
 

@@ -39,8 +39,9 @@ class Coordinator {
   /// the coordinator deterministically without waiting out the period).
   void tick();
 
-  /// Cut the current period's sleep short so the next tick happens now.
-  /// Called when external work arrives on a fully-asleep program.
+  /// Cut the current period's sleep short so the next tick happens now
+  /// (or, when a tick is running, right after it). Called when external
+  /// work arrives on a fully-asleep program.
   void nudge() noexcept;
 
   [[nodiscard]] std::uint64_t ticks() const noexcept {
@@ -81,6 +82,7 @@ class Coordinator {
   DWS_SHARED std::mutex m_;
   DWS_SHARED std::condition_variable cv_;
   DWS_SHARED bool stop_requested_ = false;  // guarded by m_
+  DWS_SHARED bool nudged_ = false;          // guarded by m_
 
   // Monitoring counters, written by the coordinator thread alone on its
   // once-per-period tick and read racily by stats snapshots.

@@ -98,15 +98,19 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
     }
     inbox_tail_ = task;
   }
-  inbox_size_.fetch_add(1, std::memory_order_release);
+  // seq_cst, then the state scan below: our half of the Dekker handshake
+  // with Worker::go_to_sleep (publish Sleeping, then re-read this count).
+  inbox_size_.fetch_add(1, std::memory_order_seq_cst);
   if (prev == 0) {
-    // The program was idle: open the gate for non-sleeping modes and cut
-    // the coordinator's nap short for sleeping modes.
+    // The program was idle: open the gate for non-sleeping modes. In the
+    // sleeping modes an Active worker (the lingering last searcher) takes
+    // the task from the inbox within microseconds; only a fully asleep
+    // program needs the coordinator's nap cut short.
     {
       std::lock_guard<std::mutex> lock(gate_m_);
       gate_cv_.notify_all();
     }
-    if (coordinator_) coordinator_->nudge();
+    if (coordinator_ && active_workers() == 0) coordinator_->nudge();
   }
 }
 

@@ -75,10 +75,18 @@ TaskBase* Worker::find_task() {
   return stolen;
 }
 
+bool Worker::lingers(
+    std::chrono::steady_clock::time_point& linger_until) const {
+  if (sched_.active_workers() != 1) return false;
+  const auto now = std::chrono::steady_clock::now();
+  if (linger_until == std::chrono::steady_clock::time_point{}) {
+    linger_until = now + kLinger;
+  }
+  return now < linger_until;
+}
+
 void Worker::go_to_sleep(bool count_as_eviction) {
   policy_.on_sleep();
-  ++stats_.sleeps;
-  if (count_as_eviction) ++stats_.evictions;
 
   // Order matters for the wake protocol: become Sleeping *before*
   // releasing the core, so that a coordinator that wins the freed core is
@@ -86,8 +94,29 @@ void Worker::go_to_sleep(bool count_as_eviction) {
   {
     std::lock_guard<std::mutex> lock(m_);
     state_.store(static_cast<int>(State::kSleeping),
-                 std::memory_order_release);
+                 std::memory_order_seq_cst);
   }
+  // Dekker handshake with Scheduler::enqueue, which skips the coordinator
+  // nudge while it sees an Active worker: it bumps inbox_size_ and then
+  // reads our state, we publish Sleeping and then read inbox_size_, all
+  // seq_cst. So either it saw us Sleeping and nudged, or we see its task.
+  if (sched_.inbox_size_.load(std::memory_order_seq_cst) != 0) {
+    if (!count_as_eviction) {
+      // Keep the core and take the task. A DWS-NC coordinator may have
+      // woken us in the window; that wake is spent here.
+      std::lock_guard<std::mutex> lock(m_);
+      wake_pending_ = false;
+      state_.store(static_cast<int>(State::kActive),
+                   std::memory_order_release);
+      return;
+    }
+    // An evicted worker cannot keep a core that is no longer ours: hand
+    // the task to the coordinator instead.
+    if (sched_.coordinator_) sched_.coordinator_->nudge();
+  }
+
+  ++stats_.sleeps;
+  if (count_as_eviction) ++stats_.evictions;
   if (mode_space_shares(sched_.mode())) {
     // CAS-guarded: fails harmlessly when the core was reclaimed from us.
     sched_.table()->release(id_, sched_.pid());
@@ -134,6 +163,7 @@ void Worker::thread_main() {
 
   const bool space_sharing = mode_space_shares(sched_.mode());
   const bool sleeping_mode = mode_sleeps(sched_.mode());
+  std::chrono::steady_clock::time_point linger_until{};
 
   while (!sched_.shutdown_requested()) {
     // DWS: a worker whose core we do not (or no longer) own sleeps until
@@ -147,6 +177,7 @@ void Worker::thread_main() {
 
     if (TaskBase* t = find_task()) {
       policy_.on_task_acquired();
+      linger_until = {};
       ++stats_.tasks_executed;
       sched_.execute(t);
       continue;
@@ -175,6 +206,15 @@ void Worker::thread_main() {
         std::this_thread::yield();
         break;
       case StealOutcome::kSleep:
+        // The program's last Active worker keeps searching through a
+        // short gap (kLinger), so the next phase or external run() finds
+        // a core held and a searcher ready; everyone else sleeps now.
+        if (lingers(linger_until)) {
+          ++stats_.yields;
+          std::this_thread::yield();
+          break;
+        }
+        linger_until = {};
         go_to_sleep(/*count_as_eviction=*/false);
         break;
     }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -102,6 +103,16 @@ class Worker {
     kParked = 2,    ///< EP worker on a core its program lacks; never woken
   };
 
+  /// How long a program's last Active worker keeps searching after
+  /// StealPolicy says sleep (DWS, DWS-NC). It must outlast the gap an
+  /// external driver leaves between two `run()` calls, which is part of
+  /// one `run()` round trip: dws-bench's ledger puts that round trip at
+  /// 66-134 µs at p99 (`external_run_us_p99`, 4-vCPU Xeon). A phased
+  /// program then keeps one core across its phase gaps instead of paying
+  /// sleep, coordinator nudge and wake per phase, while an idle program
+  /// still frees its last core about 200 µs after its work ends.
+  static constexpr std::chrono::microseconds kLinger{200};
+
   Worker(Scheduler& sched, unsigned id);
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
@@ -115,8 +126,10 @@ class Worker {
   /// Worker id == core id this worker is affiliated with.
   [[nodiscard]] unsigned id() const noexcept { return id_; }
 
+  /// seq_cst: Scheduler::enqueue's scan of the states is its half of the
+  /// sleep handshake (see go_to_sleep).
   [[nodiscard]] State state() const noexcept {
-    return static_cast<State>(state_.load(std::memory_order_acquire));
+    return static_cast<State>(state_.load(std::memory_order_seq_cst));
   }
 
   /// Coordinator-side wake. Returns true iff the worker was sleeping and
@@ -150,6 +163,12 @@ class Worker {
   /// True when this worker must vacate its core (space-sharing modes only):
   /// the allocation table no longer lists our program as the core's user.
   [[nodiscard]] bool should_vacate() const noexcept;
+  /// The kSleep path of the loop: true while this worker should keep
+  /// searching instead — it is its program's only Active worker and has
+  /// lingered less than kLinger since `linger_until` was armed (armed on
+  /// the first call, cleared by the caller when a task turns up).
+  [[nodiscard]] bool lingers(
+      std::chrono::steady_clock::time_point& linger_until) const;
   void go_to_sleep(bool count_as_eviction);
   /// Block on the scheduler's idle gate while the program has no work at
   /// all (keeps idle schedulers off the CPU without altering behaviour

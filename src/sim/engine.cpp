@@ -521,8 +521,8 @@ struct SimEngine::Impl {
     // Exponential backoff on sustained failure (as real thieves do):
     // keeps both the simulated machine and the simulator itself from
     // drowning in fruitless probes. With the defaults, T_SLEEP = 16
-    // consecutive failed sweeps corresponds to ~1.5 ms of sustained
-    // starvation.
+    // consecutive failed sweeps on 16 cores corresponds to ~1.35 ms of
+    // sustained starvation (see SimParams::steal_backoff_cap_us).
     const double sweep_cost =
         params.steal_cost_us * static_cast<double>(k > 1 ? k - 1 : 1);
     const int fails = std::min(w.policy.failed_steals(), 40);

@@ -35,14 +35,18 @@ struct SimParams {
   double steal_cost_us = 1.5;   ///< cross-core steal attempt (hit or miss)
   double wake_latency_us = 8.0; ///< sleep->running transition (futex wake)
   /// Exponential backoff on consecutive failed steals (MIT Cilk paces its
-  /// thieves the same way): attempt cost = steal_cost_us * 2^(failed/2),
-  /// capped here. Calibration note: with the defaults, accumulating
-  /// T_SLEEP = 16 consecutive failures takes ~0.8 ms of *sustained*
-  /// idleness — longer than the sub-millisecond tail of a parallel-for
-  /// phase (so workers survive barriers, matching the paper's §4.4
-  /// no-single-program-degradation claim) but far shorter than a genuine
-  /// low-demand period (a serial merge, a narrow factorization tail), so
-  /// cores are still released exactly when a co-runner could use them.
+  /// thieves the same way): a victim sweep after `failed` failed sweeps
+  /// costs (k-1) * steal_cost_us * 2^(failed/4) (integer division; a
+  /// work-sharing poll drops the k-1), capped here. Calibration note:
+  /// with the defaults on k = 16 cores, accumulating T_SLEEP = 16 failed
+  /// sweeps takes ~1.35 ms of *sustained* idleness (4 sweeps each at
+  /// 22.5, 45, 90 and 180 µs; the cap is never reached) — longer than
+  /// the sub-millisecond tail of a parallel-for phase (so workers survive
+  /// barriers, matching the paper's §4.4 no-single-program-degradation
+  /// claim) but far shorter than a genuine low-demand period (a serial
+  /// merge, a narrow factorization tail), so cores are still released
+  /// exactly when a co-runner could use them. The span shrinks fast with
+  /// k: at k = 4, T_SLEEP = 4 sweeps of 4.5 µs span only ~18 µs.
   double steal_backoff_cap_us = 500.0;
   /// One-off transfer cost charged when a steal *succeeds*, indexed by
   /// the victim's distance tier (VERYNEAR..VERYFAR): pulling the task's

@@ -239,6 +239,44 @@ TEST(SchedulerDws, WakesUpForNewWorkAfterFullSleep) {
       eventually([&] { return sched.stats().coordinator_wakes > 0; }));
 }
 
+TEST(SchedulerDws, BackToBackRunsKeepOneSearcherAwake) {
+  // A driver thread calling run() back to back leaves the program idle
+  // for only its own round trip between calls. The last Active worker
+  // lingers through that gap, so the runs neither sleep nor need the
+  // coordinator; releasing the core at every gap costs one sleep and one
+  // coordinator wake per run. Unloaded, the 200 runs add a handful of
+  // each; the bound leaves room for a loaded host descheduling the driver
+  // past the linger.
+  Scheduler sched(make_config(SchedMode::kDws, 4, 1));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  std::atomic<int> count{0};
+  sched.run([&] { count.fetch_add(1); });  // revive one worker
+  const auto before = sched.stats();
+  constexpr int kRuns = 200;
+  for (int i = 0; i < kRuns; ++i) sched.run([&] { count.fetch_add(1); });
+  const auto after = sched.stats();
+  EXPECT_EQ(count.load(), kRuns + 1);
+  EXPECT_LT(after.totals.sleeps - before.totals.sleeps, kRuns / 2u);
+  EXPECT_LT(after.coordinator_wakes - before.coordinator_wakes, kRuns / 2u);
+}
+
+TEST(SchedulerDws, IdleProgramStillFreesEveryCoreAfterTheLinger) {
+  // The linger is bounded: once work stops, the last searcher releases
+  // its core too, with no coordinator involvement, about kLinger later.
+  Scheduler sched(make_config(SchedMode::kDws, 4, 1));
+  std::atomic<int> count{0};
+  parallel_for_each_index(sched, 0, 500, 5,
+                          [&](std::int64_t) { count.fetch_add(1); });
+  const auto done = std::chrono::steady_clock::now();
+  ASSERT_TRUE(eventually([&] { return sched.table()->count_free() == 4; }));
+  const auto freed = std::chrono::steady_clock::now() - done;
+  EXPECT_EQ(sched.active_workers(), 0u);
+  // Linger plus one period, with slack for a loaded test host.
+  const auto bound =
+      Worker::kLinger + std::chrono::milliseconds(2) + 500ms;
+  EXPECT_LT(freed, bound);
+}
+
 TEST(SchedulerDws, SecondProgramSlotStartsAsleep) {
   // Declared m=2 but only this program exists: its home half runs, the
   // other half's workers must park (their cores are unowned), and the
@@ -253,6 +291,27 @@ TEST(SchedulerDws, SecondProgramSlotStartsAsleep) {
   const auto stats = sched.stats();
   EXPECT_GT(stats.cores_claimed, 0u)
       << "coordinator should have claimed free non-home cores under load";
+}
+
+TEST(SchedulerDws, ANudgeDuringATickIsNotLost) {
+  // A period far longer than the test, so every tick here is a nudge's.
+  Config cfg = make_config(SchedMode::kDws, 2, 1);
+  cfg.coordinator_period_ms = 60000.0;
+  Scheduler sched(cfg);
+  Coordinator& coord = *sched.coordinator();
+  // ticks() counts at the start of a tick, so nudging the moment it moves
+  // lands the next nudge while that tick is usually still running. Each
+  // nudge must still produce a tick well before one period.
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t before = coord.ticks();
+    coord.nudge();
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (coord.ticks() == before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_GT(coord.ticks(), before) << "nudge " << i << " was lost";
+  }
 }
 
 TEST(SchedulerDwsNc, SleepsAndWakesWithoutATable) {

@@ -168,6 +168,7 @@ struct Access {
       DWS_AUDIT_FIELD(m_, "shared");
       DWS_AUDIT_FIELD(cv_, "shared");
       DWS_AUDIT_FIELD(stop_requested_, "shared");
+      DWS_AUDIT_FIELD(nudged_, "shared");
       DWS_AUDIT_FIELD(ticks_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(wakes_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(cores_claimed_, "owned_by:coordinator");
