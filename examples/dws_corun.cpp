@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   }
   SchedMode mode = SchedMode::kDws;
   if (!parse_mode(args.get_str("mode", "DWS"), mode)) {
-    std::cerr << "unknown --mode (CLASSIC|ABP|BWS|EP|DWS-NC|DWS)\n";
+    std::cerr << "unknown --mode (" << mode_names() << ")\n";
     return 1;
   }
   auto cores = static_cast<unsigned>(args.get_int("cores", 0));

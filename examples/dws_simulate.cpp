@@ -2,13 +2,12 @@
 // from the command line and run it on the simulated machine.
 //
 //   $ ./dws_simulate --programs=FFT:DWS,Mergesort:DWS [--cores=16] [--runs=3]
-//               [--tsleep=-1] [--period-ms=10] [--adaptive]
+//               [--tsleep=-1] [--period-ms=10]
 //               [--sample-ms=0] [--trace] [--out=<dir>] [--scale=1.0]
 //               [--fast-cores=N --fast-speed=1.4 --slow-speed=0.7]
 //
-// Program syntax: NAME[:MODE[:ws]] where NAME is a Table-2 benchmark,
-// MODE one of CLASSIC|ABP|BWS|EP|DWS-NC|DWS (default DWS), and a
-// trailing ":ws" runs that program under work-sharing.
+// Program syntax: NAME[:MODE] where NAME is a Table-2 benchmark and MODE
+// one of CLASSIC|ABP|EP|DWS|DWS-NC (default DWS).
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,27 +27,14 @@ namespace {
 struct ProgramArg {
   std::string app;
   dws::SchedMode mode = dws::SchedMode::kDws;
-  bool work_sharing = false;
 };
 
 bool parse_program(const std::string& token, ProgramArg& out) {
-  std::stringstream ss(token);
-  std::string part;
-  int field = 0;
-  while (std::getline(ss, part, ':')) {
-    switch (field++) {
-      case 0: out.app = part; break;
-      case 1:
-        if (!dws::parse_mode(part, out.mode)) return false;
-        break;
-      case 2:
-        if (part != "ws") return false;
-        out.work_sharing = true;
-        break;
-      default: return false;
-    }
-  }
-  return field >= 1 && !out.app.empty();
+  const auto colon = token.find(':');
+  out.app = token.substr(0, colon);
+  if (out.app.empty()) return false;
+  return colon == std::string::npos ||
+         dws::parse_mode(token.substr(colon + 1), out.mode);
 }
 
 }  // namespace
@@ -64,8 +50,8 @@ int main(int argc, char** argv) {
     while (std::getline(ss, token, ',')) {
       ProgramArg p;
       if (!parse_program(token, p)) {
-        std::cerr << "bad --programs entry '" << token
-                  << "' (NAME[:MODE[:ws]])\n";
+        std::cerr << "bad --programs entry '" << token << "' (NAME[:MODE],"
+                  << " MODE one of " << mode_names() << ")\n";
         return 1;
       }
       program_args.push_back(p);
@@ -82,7 +68,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(args.get_int("sockets", params.num_cores >= 8 ? 2 : 1));
   params.t_sleep = static_cast<int>(args.get_int("tsleep", -1));
   params.coordinator_period_us = 1000.0 * args.get_double("period-ms", 10.0);
-  params.adaptive_t_sleep = args.get_bool("adaptive", false);
   const double sample_ms = args.get_double("sample-ms", 0.0);
   if (sample_ms > 0.0) params.timeline_sample_period_us = sample_ms * 1000.0;
   params.collect_trace = args.get_bool("trace", false);
@@ -121,7 +106,6 @@ int main(int argc, char** argv) {
     s.dag = &profiles[i].dag;
     s.target_runs = runs;
     s.default_mem_intensity = profiles[i].mem_intensity;
-    s.work_sharing = program_args[i].work_sharing;
     specs.push_back(s);
   }
 
@@ -144,9 +128,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < r.programs.size(); ++i) {
     const auto& p = r.programs[i];
     table.add_row(
-        {p.name,
-         std::string(to_string(program_args[i].mode)) +
-             (program_args[i].work_sharing ? "+ws" : ""),
+        {p.name, to_string(program_args[i].mode),
          harness::Table::num(p.mean_run_time_us / 1000.0, 2),
          std::to_string(p.run_times_us.size()), std::to_string(p.steals),
          std::to_string(p.sleeps), std::to_string(p.wakes),

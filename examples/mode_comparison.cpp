@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
             << " mode, solo on this host ===\n\n";
   harness::Table table({"mode", "ms/run", "verified", "steals",
                         "failed steals", "yields", "sleeps", "coord wakes"});
-  for (SchedMode mode : {SchedMode::kClassic, SchedMode::kAbp, SchedMode::kEp,
-                         SchedMode::kBws, SchedMode::kDwsNc, SchedMode::kDws}) {
+  for (SchedMode mode : kAllModes) {
     Config cfg;
     cfg.mode = mode;
     cfg.num_cores = 0;  // host width

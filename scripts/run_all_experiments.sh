@@ -19,8 +19,8 @@ BENCHES=(
   bench_table2_baselines bench_fig4_mixes bench_fig5_nc bench_fig6_tsleep
   bench_ablation_coordinator_period bench_ablation_ingredients
   bench_single_program_overhead bench_scalability_multiprog
-  bench_bws_comparison bench_asymmetric bench_worksharing bench_cache_model
-  bench_machine_width bench_fig4_confidence bench_adaptive_tsleep
+  bench_asymmetric bench_cache_model bench_machine_width
+  bench_fig4_confidence
   bench_blocked_linalg bench_timeline bench_deadlock_overhead
 )
 
@@ -82,13 +82,10 @@ run bench_ablation_coordinator_period
 run bench_ablation_ingredients
 run bench_single_program_overhead
 run bench_scalability_multiprog
-run bench_bws_comparison
 run bench_asymmetric
-run bench_worksharing
 run bench_cache_model
 run bench_machine_width
 run bench_fig4_confidence --seeds=5
-run bench_adaptive_tsleep
 run bench_blocked_linalg
 run bench_timeline --out="$OUT"
 run bench_deadlock_overhead --out="$OUT/BENCH_deadlock_overhead.json"

@@ -31,9 +31,8 @@ class StealPolicy {
   /// kClassic returns kRetry forever and never resets, so a long-starved
   /// busy-spinning worker would otherwise increment a plain int past
   /// INT_MAX — signed overflow, UB. The cap is far above any meaningful
-  /// threshold (see AdaptiveTSleep::escalate for the largest); thresholds
-  /// are clamped to it so `failed_steals_ >= t_sleep_` keeps firing after
-  /// saturation.
+  /// threshold; an oversized t_sleep is clamped to it so
+  /// `failed_steals_ >= t_sleep_` keeps firing after saturation.
   static constexpr int kFailedStealsSaturation = 1 << 20;
 
   /// `t_sleep` is the resolved threshold (Config::effective_t_sleep).
@@ -53,7 +52,6 @@ class StealPolicy {
         return StealOutcome::kRetry;
       case SchedMode::kAbp:
       case SchedMode::kEp:
-      case SchedMode::kBws:
         return StealOutcome::kYield;
       case SchedMode::kDws:
       case SchedMode::kDwsNc:
@@ -77,12 +75,6 @@ class StealPolicy {
   [[nodiscard]] constexpr SchedMode mode() const noexcept { return mode_; }
   [[nodiscard]] constexpr int t_sleep() const noexcept { return t_sleep_; }
 
-  /// Adjust the threshold at runtime (adaptive T_SLEEP extension; the
-  /// paper fixes it at k, §3.4, and sketches adaptivity as future work).
-  constexpr void set_t_sleep(int t_sleep) noexcept {
-    t_sleep_ = clamp_t_sleep(t_sleep);
-  }
-
  private:
   static constexpr int clamp_t_sleep(int t_sleep) noexcept {
     return t_sleep > kFailedStealsSaturation ? kFailedStealsSaturation
@@ -92,41 +84,6 @@ class StealPolicy {
   SchedMode mode_;
   int t_sleep_;
   int failed_steals_ = 0;
-};
-
-/// Adaptive T_SLEEP (§6 extension; the simulator's
-/// SimParams::adaptive_t_sleep): the paper fixes T_SLEEP = k and sketches
-/// adaptivity as future work. A sleep cut short means the threshold fired
-/// prematurely, so the program-wide threshold doubles; each coordinator
-/// period decays it back toward the configured base. The state is a
-/// double so the decay is not lost to truncation; workers compare against
-/// threshold(state).
-struct AdaptiveTSleep {
-  /// A sleep of `slept` was premature when shorter than one coordinator
-  /// `period` (same time unit).
-  [[nodiscard]] static constexpr bool premature(double slept,
-                                                double period) noexcept {
-    return slept < period;
-  }
-  /// Double (from 0, step to 1), capped at 64 x max(base, 1).
-  [[nodiscard]] static constexpr double escalate(double cur,
-                                                 int base) noexcept {
-    const double cap = 64.0 * (base > 1 ? base : 1);
-    const double next = cur > 0.0 ? 2.0 * cur : 1.0;
-    return next < cap ? next : cap;
-  }
-  /// Multiplicative decay toward (never below) `base`.
-  [[nodiscard]] static constexpr double decay(double cur, int base) noexcept {
-    const double next = cur * 0.97;
-    return next > base ? next : base;
-  }
-  /// The integer threshold a worker's StealPolicy compares against,
-  /// clamped to StealPolicy's rail first so the conversion stays defined
-  /// for any base.
-  [[nodiscard]] static constexpr int threshold(double cur) noexcept {
-    constexpr int kRail = StealPolicy::kFailedStealsSaturation;
-    return cur < kRail ? static_cast<int>(cur) : kRail;
-  }
 };
 
 }  // namespace dws

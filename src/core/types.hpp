@@ -33,15 +33,13 @@ enum class SchedMode : int {
   /// Ablation from §4.2: DWS sleep/wake behaviour but no coordinator-driven
   /// core exchange — cores are not kept disjoint across programs.
   kDwsNc = 4,
-  /// Balanced Work Stealing (Ding et al., EuroSys'12), the related-work
-  /// system the paper positions against (§5): time-sharing, but a thief
-  /// that fails to steal yields its core *to a busy worker of the same
-  /// program* instead of to whoever the OS picks next. The simulator
-  /// implements the directed yield; the real runtime approximates it
-  /// with sched_yield (Linux exposes no yield_to without the BWS kernel
-  /// patch).
-  kBws = 5,
 };
+
+/// Every mode, in enum order: the one list that mode sweeps, usage text
+/// and parse_mode iterate.
+inline constexpr SchedMode kAllModes[] = {
+    SchedMode::kClassic, SchedMode::kAbp, SchedMode::kEp, SchedMode::kDws,
+    SchedMode::kDwsNc};
 
 [[nodiscard]] constexpr const char* to_string(SchedMode m) noexcept {
   switch (m) {
@@ -50,7 +48,6 @@ enum class SchedMode : int {
     case SchedMode::kEp: return "EP";
     case SchedMode::kDws: return "DWS";
     case SchedMode::kDwsNc: return "DWS-NC";
-    case SchedMode::kBws: return "BWS";
   }
   return "?";
 }
@@ -58,13 +55,23 @@ enum class SchedMode : int {
 /// Parse a mode name (as produced by to_string, case-sensitive).
 /// Returns true on success.
 [[nodiscard]] inline bool parse_mode(const std::string& s, SchedMode& out) {
-  if (s == "CLASSIC") { out = SchedMode::kClassic; return true; }
-  if (s == "ABP") { out = SchedMode::kAbp; return true; }
-  if (s == "EP") { out = SchedMode::kEp; return true; }
-  if (s == "DWS") { out = SchedMode::kDws; return true; }
-  if (s == "DWS-NC" || s == "DWSNC") { out = SchedMode::kDwsNc; return true; }
-  if (s == "BWS") { out = SchedMode::kBws; return true; }
+  for (SchedMode m : kAllModes) {
+    if (s == to_string(m)) {
+      out = m;
+      return true;
+    }
+  }
   return false;
+}
+
+/// "CLASSIC|ABP|EP|DWS|DWS-NC": every mode name, for usage text.
+[[nodiscard]] inline std::string mode_names() {
+  std::string out;
+  for (SchedMode m : kAllModes) {
+    if (!out.empty()) out += '|';
+    out += to_string(m);
+  }
+  return out;
 }
 
 /// True for modes in which workers participate in the sleep/wake protocol.

@@ -56,7 +56,6 @@ struct SimEngine::Impl {
     std::uint64_t steals_tier[kNumDistanceTiers] = {0, 0, 0, 0};
     double exec_time = 0.0, cache_penalty = 0.0, steal_overhead = 0.0;
     double mig_time = 0.0;  // transfer cost charged on cross-tier steals
-    double slept_at = 0.0;  // time of the last sleep (adaptive T_SLEEP)
   };
 
   struct CoreSt {
@@ -92,10 +91,6 @@ struct SimEngine::Impl {
     std::unique_ptr<CoordinatorDriver> driver;
     std::uint64_t ticks = 0, claims = 0, reclaims = 0;
     CoreId start_core = 0;
-    /// Work-sharing variant (§4.4): the per-program central task FIFO.
-    std::deque<NodeId> central;
-    /// Adaptive T_SLEEP extension: current program-wide threshold.
-    double cur_t_sleep = 0.0;
   };
 
   std::vector<WorkerSt> workers;  // [prog * k + core]
@@ -112,8 +107,8 @@ struct SimEngine::Impl {
 
   // Machine model shared with the coordinator drivers and the cache model.
   Topology topo;
-  // Victim order of each worker slot, ranked from the slot's home core
-  // (a BWS-migrated worker keeps its home ranking). Programs share them.
+  // Victim order of each worker slot, ranked from the slot's core.
+  // Programs share them.
   std::vector<TieredVictimOrder> victim_orders;  // [slot]
 
   // ---- event queue ----
@@ -203,7 +198,6 @@ struct SimEngine::Impl {
       p2.pid = table->register_program();
       p2.base_joins = p2.spec.dag->join_counts();
       p2.policy = CoordinatorPolicy(!params.disable_reclaim);
-      p2.cur_t_sleep = static_cast<double>(params.effective_t_sleep());
 
       const bool shares = mode_space_shares(p2.spec.mode);
       if (shares) {
@@ -285,7 +279,7 @@ struct SimEngine::Impl {
     p.tasks_left = static_cast<std::uint32_t>(p.spec.dag->size());
     p.run_start = now;
     emit(TraceKind::kRunStart, pi, workers[start_worker].core);
-    enqueue_task(p, workers[start_worker], p.spec.dag->root());
+    workers[start_worker].pool.push_back(p.spec.dag->root());
     relaunch_activation(pi);
   }
 
@@ -446,33 +440,6 @@ struct SimEngine::Impl {
     pick_next(c);
   }
 
-  /// BWS directed yield (Ding et al.): a thief that cannot find work
-  /// donates *its own slice* to a preempted busy worker of its program —
-  /// the kernel-assisted yield_to migrates the target onto the caller's
-  /// core and runs it there. Crucially, the donation spends only CPU the
-  /// caller owns; it never preempts anyone else (doing so livelocks
-  /// asymmetric co-runner sets). Returns true if a sibling was migrated
-  /// to the front of the caller's run queue; the caller must then
-  /// requeue itself and reschedule its core.
-  bool bws_yield_to_sibling(CoreId caller_core, unsigned prog) {
-    for (CoreId c = 0; c < k; ++c) {
-      CoreSt& core = cores[c];
-      for (auto it = core.runq.begin(); it != core.runq.end(); ++it) {
-        WorkerSt& cand = workers[*it];
-        if (cand.prog == prog &&
-            (cand.op == Op::kExec || !cand.pool.empty())) {
-          const unsigned promoted = *it;
-          core.runq.erase(it);
-          cand.core = caller_core;  // migrate (cache warmth follows the
-                                    // per-core model automatically)
-          cores[caller_core].runq.push_front(promoted);
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
   /// Decide the next op for worker wi (must be Running with op==kNone).
   /// Returns false when the worker transitioned away from Running
   /// (slept); the caller must then pick another worker for the core.
@@ -485,24 +452,6 @@ struct SimEngine::Impl {
       // Our core was reclaimed (or never owned): vacate (§3.3).
       worker_sleep(wi, /*eviction=*/true);
       return false;
-    }
-    if (p.spec.work_sharing) {
-      // Work-sharing (§4.4): one shared FIFO per program. A non-empty
-      // queue is a pop; an empty one is the failed-acquisition path that
-      // feeds the same StealPolicy (yield / sleep decisions unchanged).
-      if (!p.central.empty()) {
-        w.op = Op::kPop;
-        w.op_left = params.pop_cost_us;
-        return true;
-      }
-      w.op = Op::kSteal;
-      const int ws_fails = std::min(w.policy.failed_steals(), 40);
-      const double poll_cost =
-          params.steal_cost_us *
-          std::exp2(static_cast<double>(ws_fails / 4));
-      w.op_cost = std::min(poll_cost, params.steal_backoff_cap_us);
-      w.op_left = w.op_cost;
-      return true;
     }
     if (!w.pool.empty()) {
       w.op = Op::kPop;
@@ -532,16 +481,6 @@ struct SimEngine::Impl {
     return true;
   }
 
-  /// Route a newly enabled task: the enabling worker's own deque under
-  /// work-stealing, the program's central FIFO under work-sharing.
-  void enqueue_task(ProgSt& p, WorkerSt& enabler, NodeId node) {
-    if (p.spec.work_sharing) {
-      p.central.push_back(node);
-    } else {
-      enabler.pool.push_back(node);
-    }
-  }
-
   struct SweepResult {
     NodeId node = kNoNode;
     DistanceTier tier = DistanceTier::kVeryNear;
@@ -550,17 +489,9 @@ struct SimEngine::Impl {
   /// Resolve a steal sweep for worker wi: TieredVictimOrder::sweep over
   /// this program's other workers, stealing the oldest task from the first
   /// non-empty pool. Returns the node plus the victim's distance tier (for
-  /// the per-tier counters and the migration charge). Under work-sharing
-  /// the "sweep" is a poll of the central FIFO.
+  /// the per-tier counters and the migration charge).
   SweepResult resolve_steal_sweep(unsigned wi) {
     WorkerSt& w = workers[wi];
-    ProgSt& p = progs[w.prog];
-    if (p.spec.work_sharing) {
-      if (p.central.empty()) return {};
-      const NodeId node = p.central.front();
-      p.central.pop_front();
-      return {node, DistanceTier::kVeryNear};
-    }
     SweepResult out;
     victim_orders[wi % k].sweep(rng, [&](VictimPick pick) {
       WorkerSt& victim = workers[widx(w.prog, pick.victim)];
@@ -580,21 +511,9 @@ struct SimEngine::Impl {
     if (eviction) ++w.evictions;
     w.st = WState::kSleeping;
     w.op = Op::kNone;
-    w.slept_at = now;
     emit(eviction ? TraceKind::kEvicted : TraceKind::kSleep, w.prog, w.core);
     if (mode_space_shares(p.spec.mode)) {
       table->release(w.core, p.pid);  // CAS-guarded; no-op if reclaimed
-    }
-  }
-
-  /// Step program `pi`'s adaptive T_SLEEP state and push the new
-  /// threshold to its workers.
-  void step_t_sleep(unsigned pi, double (*step)(double, int)) {
-    ProgSt& p = progs[pi];
-    p.cur_t_sleep = step(p.cur_t_sleep, params.effective_t_sleep());
-    const int threshold = AdaptiveTSleep::threshold(p.cur_t_sleep);
-    for (CoreId c = 0; c < k; ++c) {
-      workers[widx(pi, c)].policy.set_t_sleep(threshold);
     }
   }
 
@@ -617,22 +536,14 @@ struct SimEngine::Impl {
     switch (w.op) {
       case Op::kPop: {
         w.op = Op::kNone;
-        ProgSt& p = progs[w.prog];
-        if (p.spec.work_sharing) {
-          if (!p.central.empty()) {
-            const NodeId node = p.central.front();  // shared FIFO
-            p.central.pop_front();
-            begin_exec(w, node);
-            return true;
-          }
-        } else if (!w.pool.empty()) {
+        if (!w.pool.empty()) {
           const NodeId node = w.pool.back();  // own deque, LIFO
           w.pool.pop_back();
           begin_exec(w, node);
           return true;
         }
         // Raced empty (a thief drained us mid-pop): fall through to a
-        // fresh decision (which will go steal/poll).
+        // fresh decision (which will go steal).
         return worker_decide(wi) || (pick_next(c), false);
       }
       case Op::kSteal: {
@@ -640,24 +551,20 @@ struct SimEngine::Impl {
         w.steal_overhead += w.op_cost;
         if (const SweepResult sw = resolve_steal_sweep(wi);
             sw.node != kNoNode) {
-          // A successful central-queue poll (work-sharing) is a pop, not
-          // a steal; only deque sweeps count toward the steal stats.
-          if (!progs[w.prog].spec.work_sharing) {
-            ++w.steals;
-            ++w.steals_tier[static_cast<int>(sw.tier)];
-            emit(TraceKind::kSteal, w.prog, w.core, sw.node);
-            const double mig =
-                params.steal_tier_migration_us[static_cast<int>(sw.tier)];
-            if (mig > 0.0) {
-              // The stolen task's working set crosses the interconnect
-              // before execution can begin (tier-dependent NUMA cost).
-              w.op = Op::kMigrate;
-              w.op_cost = mig;
-              w.op_left = mig;
-              w.mig_node = sw.node;
-              w.mig_time += mig;
-              return true;
-            }
+          ++w.steals;
+          ++w.steals_tier[static_cast<int>(sw.tier)];
+          emit(TraceKind::kSteal, w.prog, w.core, sw.node);
+          const double mig =
+              params.steal_tier_migration_us[static_cast<int>(sw.tier)];
+          if (mig > 0.0) {
+            // The stolen task's working set crosses the interconnect
+            // before execution can begin (tier-dependent NUMA cost).
+            w.op = Op::kMigrate;
+            w.op_cost = mig;
+            w.op_left = mig;
+            w.mig_node = sw.node;
+            w.mig_time += mig;
+            return true;
           }
           begin_exec(w, sw.node);
           return true;
@@ -668,12 +575,6 @@ struct SimEngine::Impl {
             return worker_decide(wi) || (pick_next(c), false);
           case StealOutcome::kYield:
             ++w.yields;
-            if (progs[w.prog].spec.mode == SchedMode::kBws) {
-              // BWS's directed yield: migrate a preempted busy sibling
-              // here and hand it this slice, rather than yielding to
-              // whoever the OS would run next.
-              bws_yield_to_sibling(c, w.prog);
-            }
             w.st = WState::kRunnable;
             core.runq.push_back(wi);
             pick_next(c);
@@ -701,10 +602,10 @@ struct SimEngine::Impl {
         emit(TraceKind::kTaskFinish, w.prog, w.core, done);
         ProgSt& p = progs[w.prog];
         const DagNode& node = p.spec.dag->node(done);
-        for (NodeId child : node.spawns) enqueue_task(p, w, child);
+        for (NodeId child : node.spawns) w.pool.push_back(child);
         if (node.continuation != kNoNode) {
           if (--p.join_left[node.continuation] == 0) {
-            enqueue_task(p, w, node.continuation);
+            w.pool.push_back(node.continuation);
           }
         }
         if (--p.tasks_left == 0) {
@@ -763,7 +664,6 @@ struct SimEngine::Impl {
   /// N_b, N_a and sleeping workers of program pi.
   [[nodiscard]] DemandSnapshot demand_of(unsigned pi) const {
     DemandSnapshot s;
-    s.queued_tasks = progs[pi].central.size();  // work-sharing FIFO
     for (CoreId c = 0; c < k; ++c) {
       const WorkerSt& w = workers[widx(pi, c)];
       s.queued_tasks += w.pool.size();
@@ -779,7 +679,6 @@ struct SimEngine::Impl {
   void on_coord_tick(unsigned pi) {
     ProgSt& p = progs[pi];
     ++p.ticks;
-    if (params.adaptive_t_sleep) step_t_sleep(pi, &AdaptiveTSleep::decay);
     // A claim or reclaim is traced before the wake it causes.
     const CoordinatorStep step = run_coordinator_step(
         p.policy, p.driver.get(), demand_of(pi), k,
@@ -808,12 +707,6 @@ struct SimEngine::Impl {
     WorkerSt& w = workers[wi];
     if (w.st != WState::kWaking) return;  // defensive
     w.st = WState::kRunnable;
-    // Adaptive T_SLEEP: a sleep cut short escalates the threshold.
-    if (params.adaptive_t_sleep &&
-        AdaptiveTSleep::premature(now - w.slept_at,
-                                  params.coordinator_period_us)) {
-      step_t_sleep(w.prog, &AdaptiveTSleep::escalate);
-    }
     CoreSt& core = cores[w.core];
     core.runq.push_back(wi);
     if (core.running == kNoWorker) pick_next(w.core);

@@ -44,13 +44,6 @@ struct SimProgramSpec {
   unsigned target_runs = 1;
   /// mem_intensity applied to DAG nodes that do not specify their own.
   double default_mem_intensity = 0.3;
-  /// §4.4: run this program under *work-sharing* instead of
-  /// work-stealing — spawned tasks go to a per-program central FIFO that
-  /// every worker pops from; a "failed steal" becomes a failed poll of
-  /// the central queue. Sleep/wake and the coordinator operate
-  /// unchanged, demonstrating the paper's claim that DWS's demand
-  /// awareness transfers to other dynamic load-balancing models.
-  bool work_sharing = false;
 };
 
 struct ProgramResult {

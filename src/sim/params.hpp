@@ -36,8 +36,8 @@ struct SimParams {
   double wake_latency_us = 8.0; ///< sleep->running transition (futex wake)
   /// Exponential backoff on consecutive failed steals (MIT Cilk paces its
   /// thieves the same way): a victim sweep after `failed` failed sweeps
-  /// costs (k-1) * steal_cost_us * 2^(failed/4) (integer division; a
-  /// work-sharing poll drops the k-1), capped here. Calibration note:
+  /// costs (k-1) * steal_cost_us * 2^(failed/4) (integer division),
+  /// capped here. Calibration note:
   /// with the defaults on k = 16 cores, accumulating T_SLEEP = 16 failed
   /// sweeps takes ~1.35 ms of *sustained* idleness (4 sweeps each at
   /// 22.5, 45, 90 and 180 µs; the cap is never reached) — longer than
@@ -83,13 +83,6 @@ struct SimParams {
   /// (CoordinatorPolicy treats N_r as 0) — isolates the value of the
   /// take-back constraint.
   bool disable_reclaim = false;
-  /// Extension (§6 future work): adapt T_SLEEP online per program
-  /// (AdaptiveTSleep). A worker woken less than one coordinator period
-  /// after it slept was put to sleep prematurely: the program's threshold
-  /// doubles (capped at 64 x max(base, 1)); each coordinator tick decays
-  /// it multiplicatively back toward the base value. Off by default (the
-  /// paper uses a fixed k).
-  bool adaptive_t_sleep = false;
 
   // ---- Simulation control ----
   std::uint64_t seed = 0xD5EED;

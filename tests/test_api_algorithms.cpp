@@ -42,8 +42,7 @@ TEST_P(SortModes, SortsRandomInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SortModes,
-                         ::testing::Values(SchedMode::kAbp, SchedMode::kDws,
-                                           SchedMode::kBws),
+                         ::testing::ValuesIn(kAllModes),
                          [](const auto& info) {
                            std::string s = to_string(info.param);
                            for (auto& ch : s) {

@@ -156,8 +156,7 @@ TEST(FailureInjection, ManyProgramsOnFewCores) {
 TEST(FailureInjection, SingleNodeDagEveryMode) {
   TaskDag dag;
   dag.set_root(dag.add_node(42.0));
-  for (SchedMode mode : {SchedMode::kClassic, SchedMode::kAbp, SchedMode::kEp,
-                         SchedMode::kDws, SchedMode::kDwsNc, SchedMode::kBws}) {
+  for (SchedMode mode : kAllModes) {
     SimParams p;
     p.num_cores = 4;
     p.num_sockets = 1;

@@ -11,7 +11,6 @@
 
 #include "harness/experiment.hpp"
 #include "harness/mixes.hpp"
-#include "util/stats.hpp"
 
 namespace dws::harness {
 namespace {
@@ -145,22 +144,6 @@ TEST_F(Reproduction, CacheContentionClaimHolds) {
   const double dws_pen =
       dws.first.raw.cache_penalty_us + dws.second.raw.cache_penalty_us;
   EXPECT_GT(abp_pen, 5.0 * dws_pen);
-}
-
-TEST_F(Reproduction, Section5BwsSitsBetweenAbpAndDws) {
-  // §5 positioning: BWS improves on ABP (geomean over mixes) but loses
-  // to DWS.
-  std::vector<double> abp_s, bws_s, dws_s;
-  for (const auto& mix : kFigureMixes) {
-    abp_s.push_back(mix_sum(mix, SchedMode::kAbp));
-    bws_s.push_back(mix_sum(mix, SchedMode::kBws));
-    dws_s.push_back(mix_sum(mix, SchedMode::kDws));
-  }
-  const double abp = util::geomean(abp_s);
-  const double bws = util::geomean(bws_s);
-  const double dws = util::geomean(dws_s);
-  EXPECT_LT(bws, abp * 1.005) << "BWS should improve on ABP overall";
-  EXPECT_LT(dws, bws * 0.95) << "DWS should clearly beat BWS overall";
 }
 
 }  // namespace

@@ -85,8 +85,7 @@ TEST_P(RuntimeStress, DeepNestingDoesNotDeadlock) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, RuntimeStress,
-                         ::testing::Values(SchedMode::kAbp, SchedMode::kDws,
-                                           SchedMode::kDwsNc, SchedMode::kBws),
+                         ::testing::ValuesIn(kAllModes),
                          [](const auto& info) {
                            std::string s = to_string(info.param);
                            for (auto& ch : s) {
@@ -99,7 +98,7 @@ TEST(RuntimeStress, SchedulerChurn) {
   // Construct and destroy schedulers repeatedly, with and without work:
   // shutdown paths must be leak- and deadlock-free under every mode.
   for (int round = 0; round < 10; ++round) {
-    for (SchedMode mode : {SchedMode::kAbp, SchedMode::kDws, SchedMode::kEp}) {
+    for (SchedMode mode : kAllModes) {
       Scheduler sched(stress_config(mode, 2));
       if (round % 2 == 0) {
         std::atomic<int> n{0};
@@ -186,18 +185,6 @@ TEST(RuntimeStress, ReduceWithHeavyPartials) {
   long sum = 0;
   for (int v : result) sum += v;
   EXPECT_EQ(sum, 999L * 1000 / 2);
-}
-
-TEST(RuntimeStress, BwsModeRunsRealKernels) {
-  Scheduler sched(stress_config(SchedMode::kBws, 4));
-  std::atomic<std::int64_t> sum{0};
-  parallel_for(sched, 0, 10000, 64, [&](std::int64_t b, std::int64_t e) {
-    std::int64_t s = 0;
-    for (std::int64_t i = b; i < e; ++i) s += i;
-    sum.fetch_add(s, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 9999LL * 10000 / 2);
-  EXPECT_EQ(sched.stats().totals.sleeps, 0u);  // BWS never sleeps
 }
 
 }  // namespace

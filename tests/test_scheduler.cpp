@@ -105,9 +105,7 @@ TEST_P(SchedulerModes, SequentialRunsReuseTheScheduler) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, SchedulerModes,
-                         ::testing::Values(SchedMode::kClassic, SchedMode::kAbp,
-                                           SchedMode::kEp, SchedMode::kDws,
-                                           SchedMode::kDwsNc, SchedMode::kBws),
+                         ::testing::ValuesIn(kAllModes),
                          [](const auto& info) {
                            std::string s = to_string(info.param);
                            for (auto& ch : s) {
@@ -219,8 +217,11 @@ TEST(SchedulerEp, NonHomeWorkersArePermanentlyParked) {
 TEST(SchedulerDws, IdleProgramReleasesAllCores) {
   Scheduler sched(make_config(SchedMode::kDws, 4, 1));
   // With no work, every worker fails T_SLEEP steals and releases its core.
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
-  EXPECT_EQ(sched.table()->count_free(), 4u);
+  // A worker publishes Sleeping before it releases its core, so both
+  // conditions are awaited together.
+  ASSERT_TRUE(eventually([&] {
+    return sched.sleeping_workers() == 4 && sched.table()->count_free() == 4u;
+  }));
   EXPECT_EQ(sched.active_workers(), 0u);
 }
 

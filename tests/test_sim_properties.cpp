@@ -142,8 +142,7 @@ TEST_P(SimProperty, BitwiseDeterministicReplay) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimProperty,
     ::testing::Combine(
-        ::testing::Values(SchedMode::kClassic, SchedMode::kAbp, SchedMode::kEp,
-                          SchedMode::kDws, SchedMode::kDwsNc, SchedMode::kBws),
+        ::testing::ValuesIn(kAllModes),
         ::testing::Values(2u, 4u, 16u),   // machine width
         ::testing::Values(1u, 2u, 3u),    // co-running programs
         ::testing::Values(0, 1, 2, 3)),   // workload shape
@@ -179,27 +178,6 @@ TEST(SimMixedModes, DwsAndAbpCoexist) {
   EXPECT_FALSE(r.hit_time_limit);
   EXPECT_GE(r.program("dws").run_times_us.size(), 2u);
   EXPECT_GE(r.program("abp").run_times_us.size(), 2u);
-}
-
-TEST(SimMixedModes, WorkSharingAndStealingCoexistUnderEveryMode) {
-  const TaskDag dag = make_fork_join_tree(5, 2, 120.0, 1.0, 1.0, 0.2);
-  for (SchedMode mode : {SchedMode::kAbp, SchedMode::kDws}) {
-    SimParams params;
-    params.num_cores = 4;
-    params.num_sockets = 1;
-    SimProgramSpec ws;
-    ws.name = "sharing";
-    ws.mode = mode;
-    ws.dag = &dag;
-    ws.target_runs = 2;
-    ws.work_sharing = true;
-    SimProgramSpec st = ws;
-    st.name = "stealing";
-    st.work_sharing = false;
-    SimEngine engine(params, {ws, st});
-    const SimResult r = engine.run();
-    EXPECT_FALSE(r.hit_time_limit) << to_string(mode);
-  }
 }
 
 }  // namespace
