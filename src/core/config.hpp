@@ -28,12 +28,6 @@ struct Config {
   /// Coordinator wake-up period T in milliseconds (§3.4 suggests 10 ms).
   double coordinator_period_ms = 10.0;
 
-  /// Socket count of the machine model (core/topology.hpp): cores are
-  /// split contiguously across sockets. 1 models a flat machine; 0 asks
-  /// for sysfs auto-detection (with the flat layout as deterministic
-  /// fallback where /sys is absent).
-  unsigned num_sockets = 1;
-
   /// Pin worker i to hardware core i (real runtime only).
   bool pin_threads = true;
 

@@ -83,9 +83,10 @@ struct AcquireResult {
 /// equally-eligible grants iteration-order-dependent — on a NUMA machine
 /// it happily granted remote cores while same-socket ones sat free, and
 /// any reordering of the free list silently changed who got what. Without
-/// a topology (or on a flat one) the order degenerates to core id alone,
-/// which keeps co-runners packing from opposite ends of their own home
-/// ranges rather than interleaving at random.
+/// a topology the order degenerates to core id alone, which keeps
+/// co-runners packing from opposite ends of their own home ranges rather
+/// than interleaving at random. On a flat machine `home_core` comes
+/// first (distance(c, c) is the nearest tier), then core id.
 class CoordinatorDriver {
  public:
   /// With a topology, candidates are ranked by distance tier from

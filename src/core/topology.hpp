@@ -5,22 +5,21 @@
 // picks a core — victim selection (runtime + simulator), the coordinator's
 // core-exchange, the simulator's migration costs — a shared notion of
 // distance, expressed as the four tiers of distbdd-spin17's wstealer
-// (VERYNEAR/NEAR/FAR/VERYFAR): SMT sibling, same socket, adjacent socket,
+// (VERYNEAR/NEAR/FAR/VERYFAR): same core, same socket, adjacent socket,
 // distant socket. "On the Efficiency of Localized Work Stealing" supplies
 // the theory that near-first stealing over such tiers preserves the
 // work-stealing time bounds while cutting remote traffic.
 //
-// Construction is either synthetic (deterministic: sockets split the cores
-// contiguously, as the simulator models them) or auto-detected from
-// sysfs, with the synthetic single-socket layout as the fallback so a
-// build without /sys (containers, non-Linux) behaves identically
-// everywhere. The type is immutable after construction and cheap to copy.
+// The model is synthetic and deterministic: sockets split the cores
+// contiguously, as the simulator models them. The real runtime always
+// builds the flat one-socket machine, where every distinct pair of cores
+// is NEAR; the simulator's sockets (SimParams::num_sockets) are what make
+// the remote tiers matter. The type is immutable after construction and
+// cheap to copy.
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <algorithm>
 
-#include "core/config.hpp"
 #include "core/types.hpp"
 
 namespace dws {
@@ -28,7 +27,7 @@ namespace dws {
 /// Victim/core distance tiers, nearest first. The numeric values order
 /// tiers (kVeryNear < kNear < ...) and index the per-tier counters.
 enum class DistanceTier : int {
-  kVeryNear = 0,  ///< same physical core (SMT sibling) — shares L1/L2
+  kVeryNear = 0,  ///< the same core (distance(c, c); never a victim)
   kNear = 1,      ///< same socket — shares the LLC
   kFar = 2,       ///< adjacent socket — one interconnect hop
   kVeryFar = 3,   ///< distant socket — multi-hop interconnect
@@ -49,68 +48,47 @@ inline constexpr unsigned kNumDistanceTiers = 4;
 class Topology {
  public:
   /// Degenerate 1-core, 1-socket machine (safe default).
-  Topology() : Topology(synthetic(1, 1)) {}
+  Topology() = default;
 
   /// Deterministic synthetic machine: `num_sockets` sockets splitting the
   /// cores contiguously (socket = core / ceil(num_cores / num_sockets)),
-  /// sockets arranged in a linear chain (socket i and i+1 are adjacent),
-  /// and optionally `smt_per_core` consecutive cores forming one physical
-  /// core (SMT siblings). num_sockets and
-  /// smt_per_core are clamped to [1, num_cores].
+  /// sockets arranged in a linear chain (socket i and i+1 are adjacent).
+  /// num_sockets is clamped to [1, num_cores].
   [[nodiscard]] static Topology synthetic(unsigned num_cores,
-                                          unsigned num_sockets,
-                                          unsigned smt_per_core = 1);
-
-  /// Single-socket, no-SMT machine: every distinct pair is kNear.
-  [[nodiscard]] static Topology uniform(unsigned num_cores) {
-    return synthetic(num_cores, 1);
+                                          unsigned num_sockets) noexcept {
+    Topology t;
+    t.num_cores_ = num_cores == 0 ? 1 : num_cores;
+    t.num_sockets_ = std::clamp(num_sockets, 1u, t.num_cores_);
+    // Contiguous ceil-division split; the simulator's cache model reads
+    // its sockets from here too.
+    t.cores_per_socket_ = (t.num_cores_ + t.num_sockets_ - 1) / t.num_sockets_;
+    return t;
   }
 
-  /// Auto-detect the first `num_cores` logical CPUs from sysfs
-  /// (physical_package_id + core_id per cpu, NUMA node distances for the
-  /// remote tiers). Falls back to uniform(num_cores) when sysfs is absent
-  /// or inconsistent, so the result is always valid and deterministic for
-  /// a given machine.
-  [[nodiscard]] static Topology detect(unsigned num_cores);
-
-  [[nodiscard]] unsigned num_cores() const noexcept {
-    return static_cast<unsigned>(socket_of_.size());
-  }
+  [[nodiscard]] unsigned num_cores() const noexcept { return num_cores_; }
   [[nodiscard]] unsigned num_sockets() const noexcept { return num_sockets_; }
   [[nodiscard]] unsigned socket_of(CoreId c) const noexcept {
-    return socket_of_[c];
-  }
-  /// Physical-core (SMT-sibling group) id of a logical core.
-  [[nodiscard]] unsigned group_of(CoreId c) const noexcept {
-    return group_of_[c];
+    return c / cores_per_socket_;
   }
 
-  /// Distance tier between two cores. Symmetric; distance(c, c) is
-  /// kVeryNear (a core is nearest to itself; callers never self-steal).
+  /// Distance tier between two cores: the same socket is NEAR, one hop
+  /// along the chain FAR, more than one VERYFAR. Symmetric; distance(c, c)
+  /// is kVeryNear (a core is nearest to itself; callers never self-steal,
+  /// but the coordinator ranks a program's home anchor first through it).
   [[nodiscard]] DistanceTier distance(CoreId a, CoreId b) const noexcept {
-    if (group_of_[a] == group_of_[b]) return DistanceTier::kVeryNear;
-    return static_cast<DistanceTier>(
-        socket_tier_[socket_of_[a] * num_sockets_ + socket_of_[b]]);
+    if (a == b) return DistanceTier::kVeryNear;
+    const unsigned sa = socket_of(a);
+    const unsigned sb = socket_of(b);
+    const unsigned hops = sa > sb ? sa - sb : sb - sa;
+    return hops == 0   ? DistanceTier::kNear
+           : hops == 1 ? DistanceTier::kFar
+                       : DistanceTier::kVeryFar;
   }
-
-  /// True when every distinct pair of cores is equidistant (one socket,
-  /// no SMT) — tiered and uniform victim selection then coincide.
-  [[nodiscard]] bool flat() const noexcept { return flat_; }
 
  private:
-  Topology(unsigned num_sockets, std::vector<std::uint8_t> socket_of,
-           std::vector<std::uint32_t> group_of,
-           std::vector<std::uint8_t> socket_tier);
-
+  unsigned num_cores_ = 1;
   unsigned num_sockets_ = 1;
-  bool flat_ = true;
-  std::vector<std::uint8_t> socket_of_;   // [core] -> socket
-  std::vector<std::uint32_t> group_of_;   // [core] -> physical-core group
-  std::vector<std::uint8_t> socket_tier_; // [sa * S + sb] -> DistanceTier
+  unsigned cores_per_socket_ = 1;
 };
-
-/// Resolve the topology a Config asks for: num_sockets == 0 means sysfs
-/// auto-detection; otherwise the deterministic synthetic machine.
-[[nodiscard]] Topology make_topology(const Config& cfg, unsigned num_cores);
 
 }  // namespace dws

@@ -32,8 +32,8 @@ namespace dws {
 /// Sentinel for "no victim exists" (single-worker programs).
 inline constexpr unsigned kNoVictim = ~0u;
 
-/// One victim pick: who to probe and how far away they are (the tier
-/// indexes WorkerStats' per-tier steal counters).
+/// One victim pick: who to probe and how far away they are (the
+/// simulator counts its steals per tier).
 struct VictimPick {
   unsigned victim = kNoVictim;
   DistanceTier tier = DistanceTier::kVeryFar;

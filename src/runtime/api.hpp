@@ -10,14 +10,9 @@
 // divide-and-conquer shape classic work-stealing is designed for.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <iterator>
 #include <mutex>
-#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "runtime/scheduler.hpp"
 
@@ -241,127 +236,6 @@ void parallel_invoke(Scheduler& sched, Fs&&... fs) {
     throw;
   }
   sched.wait(group);
-}
-
-namespace detail {
-
-/// Parallel merge of two sorted ranges into `out` (which must not
-/// overlap the inputs): split the longer input at its median, binary-
-/// search the split point in the shorter one, and merge the two halves
-/// in parallel. Recursion depth is O(log((n1+n2)/cutoff)).
-template <typename RandomIt, typename OutIt, typename Compare>
-void parallel_merge(Scheduler& sched, RandomIt first1, RandomIt last1,
-                    RandomIt first2, RandomIt last2, OutIt out,
-                    const Compare& comp, std::int64_t cutoff) {
-  const std::int64_t n1 = last1 - first1;
-  const std::int64_t n2 = last2 - first2;
-  if (n1 + n2 <= cutoff) {
-    std::merge(first1, last1, first2, last2, out, comp);
-    return;
-  }
-  if (n1 < n2) {
-    // Keep the first range the longer one so its median split is useful.
-    parallel_merge(sched, first2, last2, first1, last1, out, comp, cutoff);
-    return;
-  }
-  RandomIt mid1 = first1 + n1 / 2;
-  RandomIt mid2 = std::lower_bound(first2, last2, *mid1, comp);
-  OutIt out_mid = out + (mid1 - first1) + (mid2 - first2);
-  parallel_invoke(
-      sched,
-      [&] {
-        parallel_merge(sched, first1, mid1, first2, mid2, out, comp, cutoff);
-      },
-      [&] {
-        parallel_merge(sched, mid1, last1, mid2, last2, out_mid, comp,
-                       cutoff);
-      });
-}
-
-template <typename RandomIt, typename Compare>
-void parallel_sort_rec(Scheduler& sched, RandomIt first, RandomIt last,
-                       typename std::iterator_traits<RandomIt>::pointer buf,
-                       std::int64_t offset, const Compare& comp,
-                       std::int64_t cutoff) {
-  const std::int64_t n = last - first;
-  if (n <= cutoff) {
-    std::sort(first, last, comp);
-    return;
-  }
-  const std::int64_t half = n / 2;
-  parallel_invoke(
-      sched,
-      [&] {
-        parallel_sort_rec(sched, first, first + half, buf, offset, comp,
-                          cutoff);
-      },
-      [&] {
-        parallel_sort_rec(sched, first + half, last, buf, offset + half,
-                          comp, cutoff);
-      });
-  // Parallel merge above 4x the leaf cutoff keeps the top-level merges —
-  // the scalability bottleneck of naive merge sort — parallel too.
-  parallel_merge(sched, first, first + half, first + half, last,
-                 buf + offset, comp, 4 * cutoff);
-  std::move(buf + offset, buf + offset + n, first);
-}
-
-}  // namespace detail
-
-/// Stable-ish parallel merge sort (not stable: the leaf std::sort isn't).
-/// Requires random-access iterators and move-assignable values.
-template <typename RandomIt, typename Compare = std::less<>>
-void parallel_sort(Scheduler& sched, RandomIt first, RandomIt last,
-                   Compare comp = {}, std::int64_t cutoff = 2048) {
-  const std::int64_t n = last - first;
-  if (n <= 1) return;
-  if (cutoff < 2) cutoff = 2;
-  using Value = typename std::iterator_traits<RandomIt>::value_type;
-  std::vector<Value> buf(static_cast<std::size_t>(n));
-  sched.run([&] {
-    detail::parallel_sort_rec(sched, first, last, buf.data(), 0, comp,
-                              cutoff);
-  });
-}
-
-/// Inclusive parallel prefix "sum" over [begin, end) with an associative
-/// `op`: out[i] = in[begin] op ... op in[i]. In place over the given
-/// range. Classic two-pass blocked scan: per-block reductions in
-/// parallel, a serial scan of the (few) block totals, then a parallel
-/// fix-up pass.
-template <typename T, typename Op = std::plus<>>
-void parallel_inclusive_scan(Scheduler& sched, T* data, std::int64_t n,
-                             Op op = {}, std::int64_t block = 4096) {
-  if (n <= 0) return;
-  if (block < 1) block = 1;
-  const std::int64_t blocks = (n + block - 1) / block;
-  if (blocks == 1) {
-    for (std::int64_t i = 1; i < n; ++i) data[i] = op(data[i - 1], data[i]);
-    return;
-  }
-  std::vector<T> totals(static_cast<std::size_t>(blocks));
-  // Pass 1: scan each block independently; record each block's total.
-  parallel_for_each_index(sched, 0, blocks, 1, [&](std::int64_t b) {
-    const std::int64_t lo = b * block;
-    const std::int64_t hi = std::min(n, lo + block);
-    for (std::int64_t i = lo + 1; i < hi; ++i) {
-      data[i] = op(data[i - 1], data[i]);
-    }
-    totals[static_cast<std::size_t>(b)] = data[hi - 1];
-  });
-  // Serial exclusive scan over the block totals (cheap: `blocks` items).
-  for (std::int64_t b = 1; b < blocks; ++b) {
-    totals[static_cast<std::size_t>(b)] =
-        op(totals[static_cast<std::size_t>(b - 1)],
-           totals[static_cast<std::size_t>(b)]);
-  }
-  // Pass 2: add the preceding blocks' total into each block.
-  parallel_for_each_index(sched, 1, blocks, 1, [&](std::int64_t b) {
-    const T& carry = totals[static_cast<std::size_t>(b - 1)];
-    const std::int64_t lo = b * block;
-    const std::int64_t hi = std::min(n, lo + block);
-    for (std::int64_t i = lo; i < hi; ++i) data[i] = op(carry, data[i]);
-  });
 }
 
 /// Parallel map-reduce over [begin, end): `map(b, e)` produces a partial

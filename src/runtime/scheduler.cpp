@@ -13,8 +13,8 @@ Scheduler::Scheduler(const Config& cfg, CoreTable* shared_table) : cfg_(cfg) {
   if (cfg_.num_cores == 0) cfg_.num_cores = util::hardware_cores();
   const unsigned k = cfg_.num_cores;
   // Machine model before any worker exists: workers bucket their victims
-  // by distance at construction.
-  topology_ = make_topology(cfg_, k);
+  // by distance at construction. The runtime's machine is flat.
+  topology_ = Topology::synthetic(k, 1);
 
   if (mode_space_shares(cfg_.mode)) {
     if (shared_table != nullptr) {
@@ -162,12 +162,9 @@ void Scheduler::wait(TaskGroup& group) {
 #endif
   Worker* w = current_worker();
   if (w == nullptr || &w->sched_ != this) {
-    // External thread: block with a bounded poll (the group's condvar is
-    // notified on drain; the timeout covers lost wakeups from tasks that
-    // complete between done() and the wait).
-    while (!group.done()) {
-      group.timed_block(std::chrono::milliseconds(1));
-    }
+    // External thread: it has no deque to help from, so it blocks until
+    // the group's final completer notifies.
+    group.block();
     group.quiesce();
     race_notify_wait_done(group);
     group.strict_on_wait_done();
@@ -177,8 +174,9 @@ void Scheduler::wait(TaskGroup& group) {
 
   // Help-first join: execute whatever is available until the group
   // drains. The waiter never goes to sleep here — its stack holds the
-  // continuation — so after a yield phase it falls back to a bounded
-  // block on the group's condvar (woken on drain).
+  // continuation — so after a yield phase it blocks on the group's
+  // condvar for at most 200 µs (woken early on drain). The bound is not
+  // a lost-wakeup cover: it is how often the waiter looks for new work.
   int consecutive_failures = 0;
   while (!group.done()) {
     if (TaskBase* t = w->find_task()) {
@@ -239,10 +237,6 @@ SchedulerStats Scheduler::stats() const {
     s.totals.wakes += ws.wakes;
     s.totals.evictions += ws.evictions;
     s.totals.heap_spawns += ws.heap_spawns;
-    for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      s.totals.steal_attempts_by_tier[t] += ws.steal_attempts_by_tier[t];
-      s.totals.steals_by_tier[t] += ws.steals_by_tier[t];
-    }
   }
   if (coordinator_) {
     s.coordinator_ticks = coordinator_->ticks();

@@ -155,8 +155,8 @@ class Scheduler {
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   /// The allocation table in use (nullptr for modes that do not use one).
   [[nodiscard]] CoreTable* table() noexcept { return table_; }
-  /// The machine model victim selection and core-exchange rank cores by
-  /// (resolved from Config::num_sockets before any worker starts).
+  /// The machine model victim selection and core-exchange rank cores by:
+  /// the flat one-socket machine of num_cores cores.
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
 
   /// N_b: queued tasks across all deques plus the injection inbox.

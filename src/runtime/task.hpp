@@ -201,8 +201,17 @@ class TaskGroup {
     }
   }
 
-  /// Block until the group drains or `timeout_us` elapses. Used by nested
-  /// waiters that have nothing to steal (bounded poll; see Worker docs).
+  /// Block until the group drains. No completion is lost: the final
+  /// completer notifies under m_ after its decrement, and the predicate
+  /// is read under m_.
+  void block() {
+    std::unique_lock<std::mutex> lock(m_);
+    cv_.wait(lock, [this] { return done(); });
+  }
+
+  /// Block until the group drains or `timeout` elapses. A nested waiter
+  /// with nothing to steal blocks this way between its searches for new
+  /// work (see Scheduler::wait).
   template <typename Rep, typename Period>
   void timed_block(std::chrono::duration<Rep, Period> timeout) {
     std::unique_lock<std::mutex> lock(m_);

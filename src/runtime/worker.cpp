@@ -62,7 +62,6 @@ TaskBase* Worker::find_task() {
   TaskBase* stolen = nullptr;
   const VictimPick hit = victim_order_.sweep(rng_, [&](VictimPick pick) {
     ++stats_.steal_attempts;
-    ++stats_.steal_attempts_by_tier[static_cast<int>(pick.tier)];
     stolen = sched_.workers_[pick.victim]->deque_.steal().value_or(nullptr);
     return stolen != nullptr;
   });
@@ -71,7 +70,6 @@ TaskBase* Worker::find_task() {
     return nullptr;
   }
   ++stats_.steals;
-  ++stats_.steals_by_tier[static_cast<int>(hit.tier)];
   return stolen;
 }
 

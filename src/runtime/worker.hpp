@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/steal_policy.hpp"
-#include "core/topology.hpp"
 #include "core/types.hpp"
 #include "core/victim_order.hpp"
 #include "runtime/deque.hpp"
@@ -87,12 +86,6 @@ struct alignas(layout::kCacheLineBytes) WorkerStats {
   RelaxedCounter evictions;  ///< times this worker vacated a reclaimed core
   DWS_OWNED_BY(worker)
   RelaxedCounter heap_spawns;  ///< spawns that fell back to new (see pool)
-  /// Locality breakdown of the steal traffic, indexed by DistanceTier
-  /// (VERYNEAR..VERYFAR). Invariant (asserted by the stats suite): each
-  /// array sums to steal_attempts / steals respectively once the worker
-  /// quiesced. Same single-writer discipline as every counter above.
-  DWS_OWNED_BY(worker) RelaxedCounter steal_attempts_by_tier[kNumDistanceTiers];
-  DWS_OWNED_BY(worker) RelaxedCounter steals_by_tier[kNumDistanceTiers];
 };
 
 class Worker {

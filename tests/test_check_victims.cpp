@@ -71,13 +71,14 @@ std::vector<VictimPick> run_sweep(const TieredVictimOrder& order,
 }
 
 TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
-  // 8 cores, 2 sockets, SMT pairs: every thief sees a VERYNEAR sibling,
-  // two NEAR and four FAR victims. All 8 start draws are explored for
-  // each thief, with every probe failing.
-  const Topology topo = Topology::synthetic(8, 2, 2);
+  // 12 cores, 3 sockets in a chain: a thief on an end socket sees three
+  // NEAR, four FAR and four VERYFAR victims; one on the middle socket
+  // three NEAR and eight FAR. All 12 start draws are explored for each
+  // thief, with every probe failing.
+  const Topology topo = Topology::synthetic(12, 3);
   std::set<std::pair<unsigned, unsigned>> leaders;  // (self, first NEAR)
-  for (unsigned self = 0; self < 8; ++self) {
-    const TieredVictimOrder order(topo, self, 8);
+  for (unsigned self = 0; self < 12; ++self) {
+    const TieredVictimOrder order(topo, self, 12);
     const Result r = check::explore(exhaustive(), [&](Sim& sim) {
       sim.spawn([&] {
         ChooseRng rng;
@@ -86,13 +87,13 @@ TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
             run_sweep(order, rng, [](unsigned) { return false; }, out);
         check::expect(rng.draws == 1, "a sweep must draw exactly once");
         check::expect(out.victim == kNoVictim, "a failed sweep hit");
-        check::expect(probed.size() == 7, "sweep skipped or repeated");
+        check::expect(probed.size() == 11, "sweep skipped or repeated");
         std::set<unsigned> seen;
         int prev_tier = -1;
         unsigned descents = 0;  // per tier: a rotation descends at most once
         for (std::size_t i = 0; i < probed.size(); ++i) {
           const VictimPick& p = probed[i];
-          check::expect(p.victim < 8 && p.victim != self,
+          check::expect(p.victim < 12 && p.victim != self,
                         "victim out of range");
           check::expect(p.tier == topo.distance(self, p.victim),
                         "reported tier disagrees with the topology");
@@ -100,7 +101,7 @@ TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
                         "sweep visited a nearer tier after a farther one");
           if (static_cast<int>(p.tier) != prev_tier) {
             check::expect(
-                p.victim == tier_leader(topo, self, 8, p.tier, rng.last),
+                p.victim == tier_leader(topo, self, 12, p.tier, rng.last),
                 "tier does not start at the drawn start slot");
             descents = 0;
             if (p.tier == DistanceTier::kNear) leaders.insert({self, p.victim});
@@ -111,16 +112,16 @@ TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
           prev_tier = static_cast<int>(p.tier);
           seen.insert(p.victim);
         }
-        check::expect(seen.size() == 7, "sweep skipped or repeated");
+        check::expect(seen.size() == 11, "sweep skipped or repeated");
       });
     });
     EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
     EXPECT_FALSE(r.truncated);
-    EXPECT_EQ(r.executions, 8) << "one execution per start draw";
+    EXPECT_EQ(r.executions, 12) << "one execution per start draw";
   }
-  // The start draw spreads the load: each thief's two NEAR victims both
+  // The start draw spreads the load: each thief's three NEAR victims all
   // lead their tier for some draw.
-  EXPECT_EQ(leaders.size(), 16u);
+  EXPECT_EQ(leaders.size(), 36u);
 }
 
 TEST(VictimOrderCheck, ASweepStopsAtItsFirstHit) {

@@ -261,6 +261,24 @@ TEST(CoordinatorDriver, SpillsToRemoteSocketOnlyAfterNearIsExhausted) {
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{7, 0, 1}));
 }
 
+TEST(CoordinatorDriver, FlatMachineGrantsTheHomeAnchorFirst) {
+  // The real runtime's machine is flat, but the grant order still reads
+  // the topology: distance(anchor, anchor) is VERYNEAR, so the home
+  // anchor outranks every other (NEAR) core. Program 2 anchored at core 2
+  // of a free 4-core table claims 2 first, then 0 and 1 by id; without a
+  // topology the order is id alone.
+  const Topology topo = Topology::synthetic(4, 1);
+  CoreTableLocal local(4, 2);
+  CoordinatorDriver drv(local.table(), /*pid=*/2, &topo, /*home_core=*/2);
+  const auto won = drv.acquire(WakeDecision{.wake_on_free = 3});
+  EXPECT_EQ(won.claimed, (std::vector<CoreId>{2, 0, 1}));
+
+  CoreTableLocal bare(4, 2);
+  CoordinatorDriver id_only(bare.table(), /*pid=*/2);
+  EXPECT_EQ(id_only.acquire(WakeDecision{.wake_on_free = 3}).claimed,
+            (std::vector<CoreId>{0, 1, 2}));
+}
+
 TEST(CoordinatorDriver, TwoDriversNeverDoubleClaim) {
   CoreTableLocal local(16, 2);
   CoreTable& t = local.table();

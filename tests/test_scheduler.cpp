@@ -429,48 +429,6 @@ TEST(SchedulerStats, LiveAggregationIsTearFree) {
   EXPECT_LE(last_tasks, final_tasks);
 }
 
-// The locality breakdown must partition the totals: after the workers
-// quiesce, each per-tier array sums to its aggregate counter, per worker
-// and in the totals. (The worker bumps the aggregate and the tier slot in
-// the same code path; a pick whose tier ever fell outside [0,4) — or a
-// path that skipped the tier bump — breaks the partition.)
-TEST(SchedulerStats, PerTierStealCountersPartitionTheTotals) {
-  Config cfg = make_config(SchedMode::kDws, 8);
-  cfg.num_sockets = 2;  // both NEAR and FAR tiers exist on this machine
-  Scheduler sched(cfg);
-  for (int round = 0; round < 20; ++round) {
-    parallel_for_each_index(sched, 0, 400, 4, [](std::int64_t) {});
-  }
-  // Quiesce: with no work left, every DWS worker sleeps after T_SLEEP
-  // failures and the counters stop moving.
-  SchedulerStats s = sched.stats();
-  eventually([&] {
-    const SchedulerStats cur = sched.stats();
-    const bool stable =
-        cur.totals.steal_attempts == s.totals.steal_attempts &&
-        cur.totals.steals == s.totals.steals;
-    s = cur;
-    return stable;
-  });
-  EXPECT_GT(s.totals.steal_attempts, 0u);
-  std::uint64_t attempts_sum = 0, steals_sum = 0;
-  for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-    attempts_sum += s.totals.steal_attempts_by_tier[t];
-    steals_sum += s.totals.steals_by_tier[t];
-  }
-  EXPECT_EQ(attempts_sum, s.totals.steal_attempts);
-  EXPECT_EQ(steals_sum, s.totals.steals);
-  for (const WorkerStats& w : s.per_worker) {
-    std::uint64_t wa = 0, wsum = 0;
-    for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      wa += w.steal_attempts_by_tier[t];
-      wsum += w.steals_by_tier[t];
-    }
-    EXPECT_EQ(wa, w.steal_attempts);
-    EXPECT_EQ(wsum, w.steals);
-  }
-}
-
 // A failed steal is a failed sweep: it probes every one of the k-1
 // victims before T_SLEEP counts it, exactly as the simulator counts
 // (one probe per failed steal would leave steal_attempts at
@@ -496,23 +454,6 @@ TEST(SchedulerStats, AFailedStealProbesEveryVictim) {
     EXPECT_GT(w.failed_steals, 0u);
     EXPECT_GE(w.steal_attempts, (k - 1) * w.failed_steals);
   }
-}
-
-// With a 2-socket machine model, successful steals concentrate in the
-// near tier: same-socket victims are always probed first, so a
-// cross-socket steal requires the thief's whole socket to be empty at
-// that instant.
-TEST(SchedulerStats, TieredPolicyRecordsNearSteals) {
-  Config cfg = make_config(SchedMode::kDws, 8);
-  cfg.num_sockets = 2;
-  Scheduler sched(cfg);
-  for (int round = 0; round < 50; ++round) {
-    parallel_for_each_index(sched, 0, 2000, 8, [](std::int64_t) {});
-  }
-  const SchedulerStats s = sched.stats();
-  const auto near =
-      s.totals.steal_attempts_by_tier[static_cast<int>(DistanceTier::kNear)];
-  EXPECT_GT(near, 0u) << "tiered selection never probed a near victim";
 }
 
 TEST(SchedulerLifecycle, ImmediateDestructionIsClean) {

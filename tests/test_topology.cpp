@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/topology.hpp"
 #include "core/victim_order.hpp"
 #include "sim/params.hpp"
@@ -31,7 +30,6 @@ TEST(Topology, SyntheticTwoSocketMatchesThePaperTestbed) {
   EXPECT_EQ(t.distance(0, 7), DistanceTier::kNear);    // same socket
   EXPECT_EQ(t.distance(0, 8), DistanceTier::kFar);     // adjacent socket
   EXPECT_EQ(t.distance(15, 8), DistanceTier::kNear);
-  EXPECT_FALSE(t.flat());
 }
 
 TEST(Topology, SyntheticMatchesSimParamsSocketSplit) {
@@ -56,17 +54,6 @@ TEST(Topology, SyntheticMatchesSimParamsSocketSplit) {
   }
 }
 
-TEST(Topology, SmtSiblingsAreVeryNear) {
-  // 8 logical cores, 2 sockets, 2-way SMT: {0,1} share a physical core.
-  const Topology t = Topology::synthetic(8, 2, 2);
-  EXPECT_EQ(t.distance(0, 1), DistanceTier::kVeryNear);
-  EXPECT_EQ(t.distance(0, 2), DistanceTier::kNear);  // same socket, other core
-  EXPECT_EQ(t.distance(0, 3), DistanceTier::kNear);
-  EXPECT_EQ(t.distance(0, 4), DistanceTier::kFar);   // other socket
-  EXPECT_EQ(t.group_of(0), t.group_of(1));
-  EXPECT_NE(t.group_of(1), t.group_of(2));
-}
-
 TEST(Topology, LinearSocketChainSeparatesFarFromVeryFar) {
   // 4 sockets in a chain: 1 hop = FAR, 2+ hops = VERYFAR.
   const Topology t = Topology::synthetic(16, 4);
@@ -83,10 +70,9 @@ TEST(Topology, DistanceIsAMetricOnTiers) {
   // detour through a third core can never be shorter than the direct
   // tier.
   const Topology shapes[] = {
-      Topology::uniform(1),         Topology::uniform(8),
-      Topology::synthetic(16, 2),   Topology::synthetic(16, 4),
-      Topology::synthetic(12, 3, 2), Topology::synthetic(8, 2, 2),
-      Topology::synthetic(7, 3),
+      Topology::synthetic(1, 1),  Topology::synthetic(8, 1),
+      Topology::synthetic(16, 2), Topology::synthetic(16, 4),
+      Topology::synthetic(12, 3), Topology::synthetic(7, 3),
   };
   for (const Topology& t : shapes) {
     const unsigned n = t.num_cores();
@@ -106,56 +92,33 @@ TEST(Topology, DistanceIsAMetricOnTiers) {
   }
 }
 
-TEST(Topology, UniformIsFlat) {
-  EXPECT_TRUE(Topology::uniform(8).flat());
-  EXPECT_TRUE(Topology::uniform(1).flat());
-  EXPECT_FALSE(Topology::synthetic(8, 2).flat());
-  EXPECT_FALSE(Topology::synthetic(8, 1, 2).flat());  // SMT pairs break it
-}
-
-TEST(Topology, SocketAndSmtCountsAreClamped) {
-  const Topology t = Topology::synthetic(4, 99, 99);
+TEST(Topology, SocketCountIsClamped) {
+  const Topology t = Topology::synthetic(4, 99);
   EXPECT_EQ(t.num_cores(), 4u);
   EXPECT_LE(t.num_sockets(), 4u);
-  const Topology z = Topology::synthetic(4, 0, 0);  // 0 means "at least 1"
+  const Topology z = Topology::synthetic(4, 0);  // 0 means "at least 1"
   EXPECT_EQ(z.num_sockets(), 1u);
 }
 
-TEST(Topology, DetectAlwaysYieldsAValidModel) {
-  // Whatever sysfs says (or doesn't — containers), the result must be a
-  // well-formed, symmetric model of the requested width.
-  const Topology t = Topology::detect(4);
-  ASSERT_EQ(t.num_cores(), 4u);
-  EXPECT_GE(t.num_sockets(), 1u);
-  for (CoreId a = 0; a < 4; ++a) {
-    EXPECT_LT(t.socket_of(a), t.num_sockets());
-    for (CoreId b = 0; b < 4; ++b) {
-      EXPECT_EQ(t.distance(a, b), t.distance(b, a));
-    }
-  }
-}
-
-TEST(Topology, MakeTopologyHonoursTheConfig) {
-  Config cfg;
-  cfg.num_sockets = 2;
-  const Topology t = make_topology(cfg, 8);
-  EXPECT_EQ(t.num_sockets(), 2u);
-  EXPECT_EQ(t.socket_of(3), 0u);
-  EXPECT_EQ(t.socket_of(4), 1u);
-
-  cfg.num_sockets = 0;  // auto-detect; must still be valid everywhere
-  const Topology d = make_topology(cfg, 8);
-  EXPECT_EQ(d.num_cores(), 8u);
+TEST(Topology, SocketIdsAbove255DoNotWrap) {
+  // 600 cores in 300 two-core sockets: socket ids run past a byte.
+  const Topology t = Topology::synthetic(600, 300);
+  EXPECT_EQ(t.socket_of(599), 299u);
+  EXPECT_EQ(t.socket_of(512), 256u);
+  EXPECT_EQ(t.distance(0, 512), DistanceTier::kVeryFar);
+  EXPECT_EQ(t.distance(510, 512), DistanceTier::kFar);   // socket 255 -> 256
+  EXPECT_EQ(t.distance(512, 513), DistanceTier::kNear);  // both socket 256
 }
 
 // ------------------------------------------------------- TieredVictimOrder
 
 TEST(TieredVictimOrder, SweepIsAPermutationWithNonDecreasingTiers) {
-  const Topology topo = Topology::synthetic(8, 2, 2);
+  // Three sockets in a chain: socket 0 sees NEAR, FAR and VERYFAR victims.
+  const Topology topo = Topology::synthetic(12, 3);
   util::Xoshiro256 rng(42);
-  for (unsigned self = 0; self < 8; ++self) {
-    TieredVictimOrder order(topo, self, 8);
-    ASSERT_EQ(order.size(), 7u);
+  for (unsigned self = 0; self < 12; ++self) {
+    TieredVictimOrder order(topo, self, 12);
+    ASSERT_EQ(order.size(), 11u);
     for (int sweep = 0; sweep < 4; ++sweep) {
       std::set<unsigned> seen;
       int prev_tier = -1;
@@ -163,14 +126,14 @@ TEST(TieredVictimOrder, SweepIsAPermutationWithNonDecreasingTiers) {
         const VictimPick pick = order.next(rng);
         ASSERT_NE(pick.victim, kNoVictim);
         ASSERT_NE(pick.victim, self);
-        ASSERT_LT(pick.victim, 8u);
+        ASSERT_LT(pick.victim, 12u);
         EXPECT_EQ(pick.tier, topo.distance(self, pick.victim));
         EXPECT_GE(static_cast<int>(pick.tier), prev_tier)
             << "tier order regressed mid-sweep";
         prev_tier = static_cast<int>(pick.tier);
         seen.insert(pick.victim);
       }
-      EXPECT_EQ(seen.size(), 7u) << "sweep skipped or repeated a victim";
+      EXPECT_EQ(seen.size(), 11u) << "sweep skipped or repeated a victim";
     }
   }
 }
@@ -196,7 +159,7 @@ TEST(TieredVictimOrder, NearVictimsAreProbedBeforeRemoteOnes) {
 }
 
 TEST(TieredVictimOrder, SweepStartVariesAcrossSweeps) {
-  const Topology topo = Topology::uniform(16);
+  const Topology topo = Topology::synthetic(16, 1);
   util::Xoshiro256 rng(3);
   const TieredVictimOrder order(topo, /*self=*/0, 16);
   // Every probe fails, so each sweep's first probe is its start slot
@@ -225,7 +188,7 @@ struct CountingRng {
 };
 
 TEST(TieredVictimOrder, ASweepDrawsExactlyOnce) {
-  const Topology topo = Topology::synthetic(8, 2, 2);
+  const Topology topo = Topology::synthetic(8, 2);
   const TieredVictimOrder order(topo, /*self=*/3, 8);
   CountingRng rng;
   int probes = 0;
@@ -242,7 +205,7 @@ TEST(TieredVictimOrder, ASweepDrawsExactlyOnce) {
 }
 
 TEST(TieredVictimOrder, SingleWorkerHasNoVictims) {
-  const Topology topo = Topology::uniform(1);
+  const Topology topo = Topology::synthetic(1, 1);
   CountingRng rng;
   TieredVictimOrder order(topo, 0, 1);
   EXPECT_TRUE(order.empty());
