@@ -11,9 +11,9 @@
 #include "harness/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"periods-ms", "runs", "scale"});
   harness::ExperimentConfig cfg;
   cfg.work_scale = args.get_double("scale", 1.0);
   cfg.target_runs = static_cast<unsigned>(args.get_int("runs", 4));
@@ -50,4 +50,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nBest period: " << best_t << " ms (paper: 10 ms)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -11,13 +11,14 @@
 #include <iostream>
 
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"runs", "scale"});
   const double scale = args.get_double("scale", 1.0);
   const auto runs = static_cast<unsigned>(args.get_int("runs", 3));
 
@@ -28,16 +29,6 @@ int main(int argc, char** argv) {
   // FFT is compute-intensive (mem 0.3); Heat is data-intensive (0.95).
   const apps::SimAppProfile fft = apps::make_sim_profile("FFT", scale);
   const apps::SimAppProfile heat = apps::make_sim_profile("Heat", scale);
-
-  auto make_spec = [&](const apps::SimAppProfile& p, SchedMode mode) {
-    sim::SimProgramSpec s;
-    s.name = p.name;
-    s.mode = mode;
-    s.dag = &p.dag;
-    s.target_runs = runs;
-    s.default_mem_intensity = p.mem_intensity;
-    return s;
-  };
 
   std::cout << "=== §4.4 extension: asymmetric machine (8 cores @1.4x + 8"
             << " @0.7x) ===\nMix: FFT (compute-bound) + Heat (data-bound);"
@@ -51,9 +42,11 @@ int main(int argc, char** argv) {
       // cores 0-7 (the fast block in this machine).
       std::vector<sim::SimProgramSpec> specs;
       if (compute_on_fast) {
-        specs = {make_spec(fft, mode), make_spec(heat, mode)};
+        specs = {harness::spec_for(fft, mode, runs),
+                 harness::spec_for(heat, mode, runs)};
       } else {
-        specs = {make_spec(heat, mode), make_spec(fft, mode)};
+        specs = {harness::spec_for(heat, mode, runs),
+                 harness::spec_for(fft, mode, runs)};
       }
       sim::SimEngine engine(params, specs);
       const sim::SimResult r = engine.run();
@@ -81,7 +74,8 @@ int main(int argc, char** argv) {
       {"mode", "FFT (ms/run)", "Cholesky (ms/run)", "sum", "FFT claims"});
   for (SchedMode mode : {SchedMode::kEp, SchedMode::kDws}) {
     sim::SimEngine engine(params,
-                          {make_spec(fft, mode), make_spec(chol, mode)});
+                          {harness::spec_for(fft, mode, runs),
+                           harness::spec_for(chol, mode, runs)});
     const sim::SimResult r = engine.run();
     const double t_fft = r.program("FFT").mean_run_time_us / 1000.0;
     const double t_chol = r.program("Cholesky").mean_run_time_us / 1000.0;
@@ -93,4 +87,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   table2.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

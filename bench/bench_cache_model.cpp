@@ -8,28 +8,19 @@
 #include <iostream>
 
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"runs", "scale"});
   const double scale = args.get_double("scale", 1.0);
   const auto runs = static_cast<unsigned>(args.get_int("runs", 3));
 
   const auto heat = apps::make_sim_profile("Heat", scale);
   const auto sor = apps::make_sim_profile("SOR", scale);
-  auto make_spec = [&](const apps::SimAppProfile& p, SchedMode mode) {
-    sim::SimProgramSpec s;
-    s.name = p.name;
-    s.mode = mode;
-    s.dag = &p.dag;
-    s.target_runs = runs;
-    s.default_mem_intensity = p.mem_intensity;
-    return s;
-  };
-
   std::cout << "=== Cache-model ablation on the memory-bound mix Heat+SOR"
             << " ===\n(sum of both programs' mean run times, virtual ms;"
             << " penalty 0 disables the cache model)\n\n";
@@ -45,7 +36,8 @@ int main(int argc, char** argv) {
     int idx = 0;
     for (SchedMode mode : {SchedMode::kAbp, SchedMode::kDws}) {
       sim::SimEngine engine(params,
-                            {make_spec(heat, mode), make_spec(sor, mode)});
+                            {harness::spec_for(heat, mode, runs),
+                             harness::spec_for(sor, mode, runs)});
       const sim::SimResult r = engine.run();
       for (const auto& p : r.programs) {
         sums[idx] += p.mean_run_time_us / 1000.0;
@@ -65,4 +57,7 @@ int main(int argc, char** argv) {
             << " — space-sharing's advantage is precisely the avoided"
             << " cross-program cache thrash.)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

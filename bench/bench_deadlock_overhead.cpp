@@ -114,8 +114,9 @@ void json_stats(std::ostream& os, const char* key, const util::Samples& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+int main(int argc, char** argv) try {
+  const util::CliArgs args(
+      argc, argv, {"out", "pnn-scale", "reps", "tasks", "tolerance"});
   const int reps = static_cast<int>(args.get_int("reps", 7));
   const long tasks = args.get_int("tasks", 2000);
   const double tolerance = args.get_double("tolerance", 0.25);
@@ -209,6 +210,9 @@ int main(int argc, char** argv) {
   std::cout << (pass ? "PASS" : "FAIL")
             << " — wrote " << out_path << "\n";
   return pass ? 0 : 1;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }
 
 #endif  // DWS_RACE_DISABLED

@@ -12,9 +12,9 @@
 #include "harness/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"runs", "scale", "seeds"});
   harness::ExperimentConfig cfg;
   cfg.work_scale = args.get_double("scale", 1.0);
   cfg.target_runs = static_cast<unsigned>(args.get_int("runs", 3));
@@ -50,4 +50,7 @@ int main(int argc, char** argv) {
             << " the Fig. 4 ordering is schedule-robust, not a lucky"
             << " seed.)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

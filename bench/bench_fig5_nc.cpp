@@ -14,9 +14,9 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"csv", "runs", "scale"});
   harness::ExperimentConfig cfg;
   cfg.work_scale = args.get_double("scale", 1.0);
   cfg.target_runs = static_cast<unsigned>(args.get_int("runs", 4));
@@ -59,4 +59,7 @@ int main(int argc, char** argv) {
             << harness::Table::num(util::geomean(dws_norms))
             << "  (paper: DWS-NC worse than DWS on every mix)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

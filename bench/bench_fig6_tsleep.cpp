@@ -14,9 +14,9 @@
 #include "harness/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"csv", "runs", "scale", "tsleep"});
   harness::ExperimentConfig cfg;
   cfg.work_scale = args.get_double("scale", 1.0);
   cfg.target_runs = static_cast<unsigned>(args.get_int("runs", 4));
@@ -68,4 +68,7 @@ int main(int argc, char** argv) {
   std::cout << "\nBest T_SLEEP: " << best_t
             << " (paper recommends k or 2k = 16 or 32)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -6,14 +6,15 @@
 #include <iostream>
 
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "harness/mixes.hpp"
 #include "harness/report.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"runs", "scale"});
   const double scale = args.get_double("scale", 1.0);
   const auto runs = static_cast<unsigned>(args.get_int("runs", 3));
 
@@ -29,18 +30,11 @@ int main(int argc, char** argv) {
     params.num_cores = k;
     params.num_sockets = k / 8;
 
-    auto make_spec = [&](const apps::SimAppProfile& p, SchedMode mode) {
-      sim::SimProgramSpec s;
-      s.name = p.name;
-      s.mode = mode;
-      s.dag = &p.dag;
-      s.target_runs = runs;
-      s.default_mem_intensity = p.mem_intensity;
-      return s;
-    };
     auto solo = [&](const apps::SimAppProfile& p) {
-      sim::SimProgramSpec s = make_spec(p, SchedMode::kAbp);
-      return sim::simulate_solo(params, s).programs[0].mean_run_time_us;
+      return sim::simulate_solo(params,
+                                harness::spec_for(p, SchedMode::kAbp, runs))
+          .programs[0]
+          .mean_run_time_us;
     };
     const double base_fft = solo(fft);
     const double base_ms = solo(ms);
@@ -50,7 +44,8 @@ int main(int argc, char** argv) {
     for (SchedMode mode :
          {SchedMode::kAbp, SchedMode::kEp, SchedMode::kDws}) {
       sim::SimEngine engine(params,
-                            {make_spec(fft, mode), make_spec(ms, mode)});
+                            {harness::spec_for(fft, mode, runs),
+                             harness::spec_for(ms, mode, runs)});
       const sim::SimResult r = engine.run();
       sums[idx++] = r.program("FFT").mean_run_time_us / base_fft +
                     r.program("Mergesort").mean_run_time_us / base_ms;
@@ -63,4 +58,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

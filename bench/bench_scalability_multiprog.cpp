@@ -10,9 +10,9 @@
 #include "harness/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"app", "runs", "scale"});
   const double scale = args.get_double("scale", 1.0);
   const auto runs = static_cast<unsigned>(args.get_int("runs", 3));
   const std::string app = args.get_str("app", "FFT");
@@ -25,12 +25,8 @@ int main(int argc, char** argv) {
   const apps::SimAppProfile profile = apps::make_sim_profile(app, scale);
 
   // Solo baseline under plain work-stealing.
-  sim::SimProgramSpec base;
-  base.name = app;
-  base.mode = SchedMode::kAbp;
-  base.dag = &profile.dag;
-  base.target_runs = runs;
-  base.default_mem_intensity = profile.mem_intensity;
+  const sim::SimProgramSpec base =
+      harness::spec_for(profile, SchedMode::kAbp, runs);
   const double solo =
       sim::simulate_solo(params, base).programs[0].mean_run_time_us;
 
@@ -60,4 +56,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(With identical demands EP is near-optimal; DWS must match"
             << " it, and ABP pays time-sharing interference.)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

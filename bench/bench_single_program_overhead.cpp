@@ -2,59 +2,36 @@
 // program ... the only overhead in DWS is incurred by the coordinator.
 // Our experiment shows that the overhead is negligible."
 //
-// Two measurements:
-//  1. Simulated 16-core machine: every Table-2 profile solo, CLASSIC vs
-//     DWS, virtual time.
-//  2. Real host runtime: wall time of the real kernels solo, CLASSIC vs
-//     DWS, on however many cores the host has (functional check; on a
-//     1-core CI host absolute numbers only reflect overhead, which is
-//     exactly what this experiment is about).
+// Simulated 16-core machine: every Table-2 profile solo, CLASSIC vs DWS,
+// virtual time. The real-thread counterpart is dws-bench's ledger metric
+// runtime.coordinator.solo_overhead_ratio.<app> (benchmark/run.sh
+// --trace 1).
 //
-// Usage: bench_single_program_overhead [--scale=1.0] [--real-reps=3]
-//                                      [--skip-real]
+// Usage: bench_single_program_overhead [--scale=1.0]
 #include <iostream>
 
-#include "apps/app.hpp"
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "runtime/scheduler.hpp"
 #include "sim/engine.hpp"
-#include "util/affinity.hpp"
 #include "util/cli.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 double simulate_solo_mode(const dws::apps::SimAppProfile& profile,
                           dws::SchedMode mode) {
-  dws::sim::SimParams params;
-  dws::sim::SimProgramSpec spec;
-  spec.name = profile.name;
-  spec.mode = mode;
-  spec.dag = &profile.dag;
-  spec.target_runs = 3;
-  spec.default_mem_intensity = profile.mem_intensity;
-  return dws::sim::simulate_solo(params, spec).programs[0].mean_run_time_us;
-}
-
-double time_real_runs(dws::apps::App& app, dws::SchedMode mode, int reps) {
-  dws::Config cfg;
-  cfg.mode = mode;
-  cfg.num_cores = 0;  // host width
-  cfg.pin_threads = false;
-  dws::rt::Scheduler sched(cfg);
-  dws::util::Stopwatch sw;
-  for (int i = 0; i < reps; ++i) app.run(sched);
-  return sw.elapsed_ms() / reps;
+  return dws::sim::simulate_solo(dws::sim::SimParams{},
+                                 dws::harness::spec_for(profile, mode, 3))
+      .programs[0]
+      .mean_run_time_us;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"scale"});
   const double scale = args.get_double("scale", 1.0);
-  const int real_reps = static_cast<int>(args.get_int("real-reps", 3));
 
   std::cout << "=== §4.4: single-program overhead of DWS (solo, all cores)"
             << " ===\n\n-- Simulated 16-core machine (virtual ms/run) --\n";
@@ -68,24 +45,10 @@ int main(int argc, char** argv) {
          harness::Table::num(100.0 * (dws / classic - 1.0), 2) + "%"});
   }
   sim_table.print(std::cout);
-
-  if (!args.get_bool("skip-real", false)) {
-    std::cout << "\n-- Real host runtime (wall ms/run, "
-              << util::hardware_cores() << " host cores) --\n";
-    harness::Table real_table({"app", "CLASSIC", "DWS", "DWS overhead"});
-    for (const char* name : apps::kAppNames) {
-      auto app = apps::make_app(name, apps::Scale::kSmall);
-      const double classic = time_real_runs(*app, SchedMode::kClassic,
-                                            real_reps);
-      const double dws = time_real_runs(*app, SchedMode::kDws, real_reps);
-      real_table.add_row(
-          {name, harness::Table::num(classic, 1),
-           harness::Table::num(dws, 1),
-           harness::Table::num(100.0 * (dws / classic - 1.0), 1) + "%"});
-    }
-    real_table.print(std::cout);
-  }
   std::cout << "\n(paper: DWS matches traditional work-stealing for a single"
             << " program; coordinator overhead negligible)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -10,9 +10,9 @@
 #include "harness/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"csv", "runs", "scale"});
   harness::ExperimentConfig cfg;
   cfg.work_scale = args.get_double("scale", 1.0);
   cfg.baseline_runs = static_cast<unsigned>(args.get_int("runs", 10));
@@ -47,4 +47,7 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

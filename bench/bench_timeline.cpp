@@ -14,15 +14,17 @@
 #include <string>
 
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "harness/export.hpp"
 #include "harness/mixes.hpp"
 #include "harness/report.hpp"
 #include "sim/engine.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"mix-a", "mix-b", "mode", "out", "runs", "sample-ms"});
   const auto id_a = static_cast<unsigned>(args.get_int("mix-a", 3));
   const auto id_b = static_cast<unsigned>(args.get_int("mix-b", 8));
   const auto runs = static_cast<unsigned>(args.get_int("runs", 2));
@@ -38,16 +40,8 @@ int main(int argc, char** argv) {
 
   const auto prof_a = apps::make_sim_profile(harness::app_name(id_a));
   const auto prof_b = apps::make_sim_profile(harness::app_name(id_b));
-  auto make_spec = [&](const apps::SimAppProfile& p) {
-    sim::SimProgramSpec s;
-    s.name = p.name;
-    s.mode = mode;
-    s.dag = &p.dag;
-    s.target_runs = runs;
-    s.default_mem_intensity = p.mem_intensity;
-    return s;
-  };
-  sim::SimEngine engine(params, {make_spec(prof_a), make_spec(prof_b)});
+  sim::SimEngine engine(params, {harness::spec_for(prof_a, mode, runs),
+                                 harness::spec_for(prof_b, mode, runs)});
   const sim::SimResult r = engine.run();
 
   std::cout << "=== Active workers over time: " << prof_a.name << " + "
@@ -83,4 +77,7 @@ int main(int argc, char** argv) {
     std::cout << "exported CSVs to " << dir << "/" << stem << "_*.csv\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

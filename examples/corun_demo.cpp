@@ -42,9 +42,9 @@ void print_table(const dws::CoreTable& table) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"cores", "csv", "mode"});
   const auto cores = static_cast<unsigned>(args.get_int("cores", 8));
   SchedMode mode = SchedMode::kDws;
   if (!parse_mode(args.get_str("mode", "DWS"), mode)) {
@@ -111,4 +111,7 @@ int main(int argc, char** argv) {
             << stats_b.cores_reclaimed << ", evicted "
             << stats_b.totals.evictions << " times\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

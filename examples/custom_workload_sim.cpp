@@ -15,9 +15,9 @@
 #include "sim/workload.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"runs"});
   const auto runs = static_cast<unsigned>(args.get_int("runs", 3));
 
   // ---- 1. Hand-build a DAG with the low-level API ----
@@ -73,4 +73,7 @@ int main(int argc, char** argv) {
                " DWS the coordinator takes them back for the wide phase —"
                " compare the mode rows above.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -80,9 +80,10 @@ int child_main(const std::string& shm_name, unsigned cores, unsigned programs,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"apps", "cores", "mode", "reps", "scale"});
   const auto apps_list = split_csv(args.get_str("apps", "FFT,Mergesort"));
   if (apps_list.empty()) {
     std::cerr << "--apps must name at least one Table-2 benchmark\n";
@@ -135,4 +136,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "all programs completed and verified\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

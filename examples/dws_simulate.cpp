@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "harness/export.hpp"
 #include "harness/report.hpp"
 #include "sim/engine.hpp"
@@ -39,9 +40,12 @@ bool parse_program(const std::string& token, ProgramArg& out) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"cores", "fast-cores", "fast-speed", "out", "period-ms",
+                   "programs", "runs", "sample-ms", "scale", "seed",
+                   "slow-speed", "sockets", "trace", "tsleep"});
 
   std::vector<ProgramArg> program_args;
   {
@@ -100,12 +104,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   for (std::size_t i = 0; i < program_args.size(); ++i) {
-    sim::SimProgramSpec s;
-    s.name = profiles[i].name + "#" + std::to_string(i);
-    s.mode = program_args[i].mode;
-    s.dag = &profiles[i].dag;
-    s.target_runs = runs;
-    s.default_mem_intensity = profiles[i].mem_intensity;
+    sim::SimProgramSpec s =
+        harness::spec_for(profiles[i], program_args[i].mode, runs);
+    s.name += "#" + std::to_string(i);
     specs.push_back(s);
   }
 
@@ -157,4 +158,7 @@ int main(int argc, char** argv) {
     }
   }
   return r.hit_time_limit ? 2 : 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

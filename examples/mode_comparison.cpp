@@ -15,9 +15,9 @@
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"app", "reps", "scale"});
   const std::string app_name = args.get_str("app", "Mergesort");
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const std::string scale_name = args.get_str("scale", "small");
@@ -60,4 +60,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -13,9 +13,9 @@
 #include "sim/workload.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace dws;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"burst-us", "tsleep", "wide-tasks"});
   const auto sweep = args.get_int_list("tsleep", {0, 1, 2, 4, 8, 16, 64, 256});
   const double burst_us = args.get_double("burst-us", 15000.0);
   const auto wide = static_cast<std::uint32_t>(args.get_int("wide-tasks", 48));
@@ -88,4 +88,7 @@ int main(int argc, char** argv) {
             << " failed steals instead of being lent (steal overhead"
             << " grows, claims shrink).\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << e.what() << '\n';
+  return 1;
 }

@@ -17,11 +17,10 @@ fi
 
 BENCHES=(
   bench_table2_baselines bench_fig4_mixes bench_fig5_nc bench_fig6_tsleep
-  bench_ablation_coordinator_period bench_ablation_ingredients
+  bench_ablation_coordinator_period
   bench_single_program_overhead bench_scalability_multiprog
   bench_asymmetric bench_cache_model bench_machine_width
-  bench_fig4_confidence
-  bench_blocked_linalg bench_timeline bench_deadlock_overhead
+  bench_fig4_confidence bench_timeline bench_deadlock_overhead
 )
 
 # Fail fast, before any figure is regenerated, if a bench binary is
@@ -79,14 +78,12 @@ run bench_fig4_mixes
 run bench_fig5_nc
 run bench_fig6_tsleep
 run bench_ablation_coordinator_period
-run bench_ablation_ingredients
 run bench_single_program_overhead
 run bench_scalability_multiprog
 run bench_asymmetric
 run bench_cache_model
 run bench_machine_width
 run bench_fig4_confidence --seeds=5
-run bench_blocked_linalg
 run bench_timeline --out="$OUT"
 run bench_deadlock_overhead --out="$OUT/BENCH_deadlock_overhead.json"
 

@@ -1,6 +1,5 @@
 #include "apps/app.hpp"
 
-#include "apps/blocked_linalg.hpp"
 #include "apps/fft.hpp"
 #include "apps/linalg.hpp"
 #include "apps/mergesort.hpp"
@@ -55,15 +54,6 @@ std::unique_ptr<App> make_app(const std::string& name, Scale scale,
   }
   if (name == "Mergesort") {
     return std::make_unique<MergesortApp>(s.sort_n, seed);
-  }
-  // Beyond Table 2: tiled variants of the factorizations (the task
-  // formulation production runtimes use; see blocked_linalg.hpp).
-  if (name == "BlockedCholesky") {
-    return std::make_unique<BlockedCholeskyApp>(s.chol_n, s.chol_n / 4 + 1,
-                                                seed);
-  }
-  if (name == "BlockedLU") {
-    return std::make_unique<BlockedLuApp>(s.lu_n, s.lu_n / 4 + 1, seed);
   }
   return nullptr;
 }

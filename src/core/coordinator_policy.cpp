@@ -8,7 +8,7 @@
 
 namespace dws {
 
-WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) const noexcept {
+WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) noexcept {
   WakeDecision d;
   if (s.queued_tasks == 0 || s.sleeping_workers == 0) return d;
 
@@ -27,7 +27,7 @@ WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) const noexcept {
   n_w = std::min(n_w, s.sleeping_workers);
 
   const unsigned n_f = s.free_cores;
-  const unsigned n_r = reclaim_ ? s.reclaimable_cores : 0;
+  const unsigned n_r = s.reclaimable_cores;
   if (n_w <= n_f) {
     // Case 1: enough free cores for everyone we want to wake.
     d.wake_on_free = n_w;
@@ -102,8 +102,7 @@ AcquireResult CoordinatorDriver::acquire(const WakeDecision& decision) {
   return won;
 }
 
-CoordinatorStep run_coordinator_step(const CoordinatorPolicy& policy,
-                                     CoordinatorDriver* driver,
+CoordinatorStep run_coordinator_step(CoordinatorDriver* driver,
                                      const DemandSnapshot& demand,
                                      unsigned num_workers, const WakeFn& wake) {
   CoordinatorStep step;
@@ -118,7 +117,7 @@ CoordinatorStep run_coordinator_step(const CoordinatorPolicy& policy,
     step.snapshot.free_cores = step.snapshot.sleeping_workers;
     step.snapshot.reclaimable_cores = 0;
   }
-  step.decision = policy.decide(step.snapshot);
+  step.decision = CoordinatorPolicy::decide(step.snapshot);
   if (step.decision.total() == 0) return step;
 
   if (driver != nullptr) {

@@ -44,21 +44,14 @@ struct WakeDecision {
 
 class CoordinatorPolicy {
  public:
-  /// `reclaim`: false treats N_r as 0, so lent home cores are never taken
-  /// back (the simulator's SimParams::disable_reclaim ablation).
-  explicit constexpr CoordinatorPolicy(bool reclaim = true) noexcept
-      : reclaim_(reclaim) {}
-
-  /// Apply Eq. 1 and the three §3.3 cases. Nobody is woken below one
-  /// queued task per active worker (§3.3: "if each worker only needs to
-  /// process a few tasks on average, the coordinator will not wake up
-  /// sleeping workers"). The result is additionally capped at the number
-  /// of sleeping workers (we cannot wake workers that do not exist) and
-  /// never wakes anyone when the backlog is empty.
-  [[nodiscard]] WakeDecision decide(const DemandSnapshot& s) const noexcept;
-
- private:
-  bool reclaim_;
+  /// Apply Eq. 1 and the three §3.3 cases to the snapshot's N_f and N_r
+  /// as given. Nobody is woken below one queued task per active worker
+  /// (§3.3: "if each worker only needs to process a few tasks on
+  /// average, the coordinator will not wake up sleeping workers"). The
+  /// result is additionally capped at the number of sleeping workers (we
+  /// cannot wake workers that do not exist) and never wakes anyone when
+  /// the backlog is empty.
+  [[nodiscard]] static WakeDecision decide(const DemandSnapshot& s) noexcept;
 };
 
 /// Cores actually obtained by one CoordinatorDriver::acquire call.
@@ -136,8 +129,7 @@ struct CoordinatorStep {
 /// `driver`; without one (DWS-NC) N_f = sleeping and N_r = 0. Then
 /// decide, acquire, and wake the worker on each claimed core, then on
 /// each reclaimed one; DWS-NC wakes the first sleepers in core order.
-CoordinatorStep run_coordinator_step(const CoordinatorPolicy& policy,
-                                     CoordinatorDriver* driver,
+CoordinatorStep run_coordinator_step(CoordinatorDriver* driver,
                                      const DemandSnapshot& demand,
                                      unsigned num_workers, const WakeFn& wake);
 

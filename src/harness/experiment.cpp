@@ -6,8 +6,6 @@
 
 namespace dws::harness {
 
-namespace {
-
 sim::SimProgramSpec spec_for(const apps::SimAppProfile& profile,
                              SchedMode mode, unsigned target_runs) {
   sim::SimProgramSpec spec;
@@ -18,8 +16,6 @@ sim::SimProgramSpec spec_for(const apps::SimAppProfile& profile,
   spec.default_mem_intensity = profile.mem_intensity;
   return spec;
 }
-
-}  // namespace
 
 std::map<std::string, double> run_solo_baselines(const ExperimentConfig& cfg) {
   std::map<std::string, double> out;

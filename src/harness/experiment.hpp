@@ -23,6 +23,12 @@ struct ExperimentConfig {
   unsigned baseline_runs = 4;  ///< repetitions for the solo baseline
 };
 
+/// The simulator spec that runs `profile` under `mode` for `target_runs`
+/// runs, named after the profile and with its memory intensity. The spec
+/// points at `profile.dag`, so the profile must outlive it.
+sim::SimProgramSpec spec_for(const apps::SimAppProfile& profile,
+                             SchedMode mode, unsigned target_runs);
+
 /// Solo baseline: each app alone on all k cores under plain work-stealing
 /// (the paper's "average non-interference execution time", §4.1). Keyed
 /// by app name, value = mean run time (virtual us).

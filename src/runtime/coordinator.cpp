@@ -88,7 +88,7 @@ void Coordinator::tick() {
   // counted before its worker wakes, so a stats() reader that has seen
   // the woken worker's work (through the wake's mutex) also sees it.
   run_coordinator_step(
-      policy_, driver_.get(), demand, sched_.num_workers(),
+      driver_.get(), demand, sched_.num_workers(),
       [this](CoreId c, WakeReason why) {
         if (why == WakeReason::kClaimed) {
           cores_claimed_.fetch_add(1, std::memory_order_relaxed);

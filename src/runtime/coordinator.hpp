@@ -71,7 +71,6 @@ class Coordinator {
   void thread_main();
 
   Scheduler& sched_;
-  CoordinatorPolicy policy_;
   std::unique_ptr<CoordinatorDriver> driver_;  // only for table-using modes
   std::unique_ptr<StaleSweeper> sweeper_;      // crash tolerance (optional)
 

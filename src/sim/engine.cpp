@@ -87,7 +87,6 @@ struct SimEngine::Impl {
     unsigned runs_done = 0;
     std::vector<double> run_times;
     double run_start = 0.0;
-    CoordinatorPolicy policy;
     std::unique_ptr<CoordinatorDriver> driver;
     std::uint64_t ticks = 0, claims = 0, reclaims = 0;
     CoreId start_core = 0;
@@ -197,7 +196,6 @@ struct SimEngine::Impl {
       p2.spec = specs[pi];
       p2.pid = table->register_program();
       p2.base_joins = p2.spec.dag->join_counts();
-      p2.policy = CoordinatorPolicy(!params.disable_reclaim);
 
       const bool shares = mode_space_shares(p2.spec.mode);
       if (shares) {
@@ -681,7 +679,7 @@ struct SimEngine::Impl {
     ++p.ticks;
     // A claim or reclaim is traced before the wake it causes.
     const CoordinatorStep step = run_coordinator_step(
-        p.policy, p.driver.get(), demand_of(pi), k,
+        p.driver.get(), demand_of(pi), k,
         [this, pi](CoreId c, WakeReason why) {
           if (why == WakeReason::kClaimed) emit(TraceKind::kClaim, pi, c);
           if (why == WakeReason::kReclaimed) emit(TraceKind::kReclaim, pi, c);

@@ -79,10 +79,6 @@ struct SimParams {
   // ---- Scheduling policy knobs ----
   int t_sleep = -1;                     ///< -1 => k (§3.4)
   double coordinator_period_us = 10000; ///< T = 10 ms (§3.4)
-  /// Ablation: when true, DWS coordinators never reclaim lent home cores
-  /// (CoordinatorPolicy treats N_r as 0) — isolates the value of the
-  /// take-back constraint.
-  bool disable_reclaim = false;
 
   // ---- Simulation control ----
   std::uint64_t seed = 0xD5EED;

@@ -6,7 +6,9 @@
 
 namespace dws::util {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 std::initializer_list<std::string> known)
+    : known_(known) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -16,52 +18,66 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     }
     arg.erase(0, 2);
     const auto eq = arg.find('=');
+    std::string key = arg.substr(0, eq);
+    if (known_.count(key) == 0) {
+      std::string msg = "unknown flag --" + key + " (known:";
+      for (const std::string& k : known_) msg += " --" + k;
+      throw std::invalid_argument(msg + ")");
+    }
     if (eq != std::string::npos) {
-      kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      kv_[std::move(key)] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      kv_[arg] = argv[++i];
+      kv_[std::move(key)] = argv[++i];
     } else {
-      kv_[arg] = "";  // bare flag
+      kv_[std::move(key)] = "";  // bare flag
     }
   }
 }
 
-bool CliArgs::has(const std::string& key) const { return kv_.count(key) > 0; }
+const std::string* CliArgs::find(const std::string& key) const {
+  if (known_.count(key) == 0) {
+    throw std::logic_error("--" + key + " is read but not declared known");
+  }
+  const auto it = kv_.find(key);
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
+bool CliArgs::has(const std::string& key) const { return find(key) != nullptr; }
 
 std::string CliArgs::get_str(const std::string& key,
                              const std::string& def) const {
-  const auto it = kv_.find(key);
-  return it == kv_.end() ? def : it->second;
+  const std::string* v = find(key);
+  return v == nullptr ? def : *v;
 }
 
 long CliArgs::get_int(const std::string& key, long def) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   std::size_t pos = 0;
-  const long v = std::stol(it->second, &pos);
-  if (pos != it->second.size()) {
+  const long out = std::stol(*v, &pos);
+  if (pos != v->size()) {
     throw std::invalid_argument("--" + key + " expects an integer, got '" +
-                                it->second + "'");
+                                *v + "'");
   }
-  return v;
+  return out;
 }
 
 double CliArgs::get_double(const std::string& key, double def) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
-  if (pos != it->second.size()) {
+  const double out = std::stod(*v, &pos);
+  if (pos != v->size()) {
     throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                it->second + "'");
+                                *v + "'");
   }
-  return v;
+  return out;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  const std::string& v = it->second;
+  const std::string* p = find(key);
+  if (p == nullptr) return def;
+  const std::string& v = *p;
   if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on")
     return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
@@ -71,10 +87,10 @@ bool CliArgs::get_bool(const std::string& key, bool def) const {
 
 std::vector<long> CliArgs::get_int_list(const std::string& key,
                                         const std::vector<long>& def) const {
-  const auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
+  const std::string* v = find(key);
+  if (v == nullptr) return def;
   std::vector<long> out;
-  std::stringstream ss(it->second);
+  std::stringstream ss(*v);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;

@@ -1,13 +1,17 @@
 // Tiny argv parser shared by the bench binaries and examples.
 //
-// Accepts `--key=value`, `--key value`, and bare `--flag` forms. Typed
-// getters return a caller-supplied default when the key is absent and
-// throw std::invalid_argument on malformed values, so every binary fails
-// loudly on a typo'd experiment parameter instead of silently measuring
-// the wrong configuration.
+// Accepts `--key=value`, `--key value`, and bare `--flag` forms. Each
+// binary lists the flags it knows; any other `--key` throws
+// std::invalid_argument naming it. Typed getters return a caller-supplied
+// default when the key is absent and throw std::invalid_argument on
+// malformed values, so every binary fails loudly on a typo'd or removed
+// experiment parameter instead of silently measuring the wrong
+// configuration.
 #pragma once
 
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,7 +19,10 @@ namespace dws::util {
 
 class CliArgs {
  public:
-  CliArgs(int argc, const char* const* argv);
+  /// `known`: every key this binary reads, without the leading `--`.
+  /// Reading a key outside it throws std::logic_error.
+  CliArgs(int argc, const char* const* argv,
+          std::initializer_list<std::string> known);
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get_str(const std::string& key,
@@ -38,7 +45,11 @@ class CliArgs {
   }
 
  private:
+  /// The value given for `key`, or nullptr if it was absent.
+  [[nodiscard]] const std::string* find(const std::string& key) const;
+
   std::string program_;
+  std::set<std::string> known_;
   std::map<std::string, std::string> kv_;
   std::vector<std::string> positional_;
 };

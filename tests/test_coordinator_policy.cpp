@@ -326,7 +326,6 @@ class FakeExecutor {
 struct StepCase {
   const char* name;
   bool with_driver;  ///< false: DWS-NC
-  bool reclaim;      ///< CoordinatorPolicy's reclaim input
   std::uint64_t queued;
   std::vector<CoreId> asleep;
   std::vector<std::pair<CoreId, WakeReason>> expect_woken;
@@ -351,20 +350,16 @@ TEST_P(CoordinatorStepTest, WakesExactlyTheDecidedWorkers) {
   CoordinatorDriver driver(t, me, &topo, /*home_core=*/4);
   FakeExecutor exec(tc.queued, tc.asleep);
   const CoordinatorStep step = run_coordinator_step(
-      CoordinatorPolicy(tc.reclaim), tc.with_driver ? &driver : nullptr,
-      exec.demand(), FakeExecutor::kCores,
+      tc.with_driver ? &driver : nullptr, exec.demand(), FakeExecutor::kCores,
       [&exec](CoreId c, WakeReason why) { return exec.wake(c, why); });
 
   EXPECT_EQ(exec.woken, tc.expect_woken);
   EXPECT_EQ(step.woken, exec.woken.size());
   EXPECT_LE(step.woken, step.decision.total());
   if (tc.with_driver) {
-    // The snapshot reports the table; the ablation acts in the policy.
+    // The snapshot reports the table.
     EXPECT_EQ(step.snapshot.free_cores, 2u);
     EXPECT_EQ(step.snapshot.reclaimable_cores, 2u);
-    if (!tc.reclaim) {
-      EXPECT_EQ(step.decision.wake_on_reclaim, 0u);
-    }
     // Every core won had a sleeper, and the record says which it was.
     EXPECT_EQ(step.won.total(), step.woken);
     std::size_t i = 0;
@@ -400,23 +395,19 @@ INSTANTIATE_TEST_SUITE_P(
         // N_w = 40 / 1, capped at 7 sleepers; case 3 takes both free cores
         // nearest-first (7 on the home socket, then 3), then both
         // reclaimable ones in id order.
-        StepCase{"DwsClaimsThenReclaims", true, true, 40,
+        StepCase{"DwsClaimsThenReclaims", true, 40,
                  {0, 1, 2, 3, 5, 6, 7},
                  {{7, kClaimed}, {3, kClaimed}, {5, kReclaimed},
                   {6, kReclaimed}}},
-        // disable_reclaim: the same demand takes the free cores only.
-        StepCase{"DwsReclaimAblation", true, false, 40,
-                 {0, 1, 2, 3, 5, 6, 7},
-                 {{7, kClaimed}, {3, kClaimed}}},
-        StepCase{"DwsZeroDecision", true, true, 0, {0, 1, 2, 3, 5, 6, 7}, {}},
+        StepCase{"DwsZeroDecision", true, 0, {0, 1, 2, 3, 5, 6, 7}, {}},
         // DWS-NC, N_w = 12 / 4 = 3 of 4 sleepers, in core order.
-        StepCase{"NcWakesNeedInCoreOrder", false, true, 12, {1, 3, 6, 7},
+        StepCase{"NcWakesNeedInCoreOrder", false, 12, {1, 3, 6, 7},
                  {{1, kInPlace}, {3, kInPlace}, {6, kInPlace}}},
         // DWS-NC, N_w = 100 but only 4 sleepers.
-        StepCase{"NcWakesAtMostTheSleepers", false, true, 400, {1, 3, 6, 7},
+        StepCase{"NcWakesAtMostTheSleepers", false, 400, {1, 3, 6, 7},
                  {{1, kInPlace}, {3, kInPlace}, {6, kInPlace},
                   {7, kInPlace}}},
-        StepCase{"NcZeroDecision", false, true, 0, {1, 3, 6, 7}, {}}),
+        StepCase{"NcZeroDecision", false, 0, {1, 3, 6, 7}, {}}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/profiles.hpp"
+#include "harness/experiment.hpp"
 #include "sim/engine.hpp"
 
 namespace dws::apps {
@@ -74,13 +75,8 @@ TEST(Profiles, AllRunnableOnThePaperMachine) {
   // in a sane amount of virtual time.
   sim::SimParams params;  // defaults = paper machine
   for (const auto& p : make_all_sim_profiles(0.25)) {
-    sim::SimProgramSpec spec;
-    spec.name = p.name;
-    spec.mode = SchedMode::kDws;
-    spec.dag = &p.dag;
-    spec.target_runs = 1;
-    spec.default_mem_intensity = p.mem_intensity;
-    const sim::SimResult r = sim::simulate_solo(params, spec);
+    const sim::SimResult r = sim::simulate_solo(
+        params, harness::spec_for(p, SchedMode::kDws, 1));
     EXPECT_FALSE(r.hit_time_limit) << p.name;
     EXPECT_EQ(r.programs[0].tasks_executed, p.dag.size()) << p.name;
     // Solo DWS must beat the serial time by a sane margin on 16 cores.

@@ -21,8 +21,7 @@
 //     FastTrack equivalents that are schedule-independent (spawn/join
 //     edges, epoch adaptivity, read-vector promotion);
 //  2. clean certification — each Table-2 app (including PNN's locked
-//     combine) plus the tiled BlockedCholesky/BlockedLU kernels runs
-//     with zero reports AND verifies, in both modes;
+//     combine) runs with zero reports AND verifies, in both modes;
 //  3. seeded racy mutants — one deliberately broken kernel per app
 //     pattern, each of which must be flagged *in both modes* with a
 //     provenance chain naming the mutant's race::region (and, for the
@@ -33,9 +32,8 @@
 //     under the detector, so the simulated DAGs ship with the same
 //     certificate as the real kernels;
 //  5. seeded-input sweep — input-dependent kernels (Mergesort cutoffs,
-//     FFT sizes, BlockedCholesky/BlockedLU tile shapes) are certified
-//     across N seeded inputs; N comes from --sweep=N or DWS_RACE_SWEEP
-//     (default 3, clamped to [1, 16]);
+//     FFT sizes) are certified across N seeded inputs; N comes from
+//     --sweep=N or DWS_RACE_SWEEP (default 3, clamped to [1, 16]);
 //  6. mode agreement — on one worker both modes see the same logical
 //     DAG, so their verdicts must match across the app corpus and a
 //     seeded racy kernel.
@@ -53,7 +51,6 @@
 #include <vector>
 
 #include "apps/app.hpp"
-#include "apps/blocked_linalg.hpp"
 #include "apps/dag_replay.hpp"
 #include "apps/fft.hpp"
 #include "apps/mergesort.hpp"
@@ -868,15 +865,6 @@ INSTANTIATE_TEST_SUITE_P(Table2, RaceCleanTest,
                                             ::testing::ValuesIn(kBothModes)),
                          clean_test_name);
 
-// The tiled kernels: their block-dependency structure (phase waits +
-// per-phase tile disjointness) is exactly where a stale-tile race would
-// hide, so they get the same clean certification as the Table-2 apps.
-INSTANTIATE_TEST_SUITE_P(
-    BlockedLinalg, RaceCleanTest,
-    ::testing::Combine(::testing::Values("BlockedCholesky", "BlockedLU"),
-                       ::testing::ValuesIn(kBothModes)),
-    clean_test_name);
-
 // ---------------------------------------------------------------------
 // 3. Seeded racy mutants: one representative broken kernel per app
 //    pattern. Each must be flagged, with provenance naming the mutant.
@@ -1072,7 +1060,7 @@ TEST(RaceMutantTest, PnnCombineMissingTheLock) {
 }
 
 TEST(RaceMutantTest, BlockedLuStaleTileRead) {
-  // Mutant of BlockedLU's phase structure: the GEMM trailing update runs
+  // Mutant of a tiled LU's phase structure: the GEMM trailing update runs
   // in the SAME parallel region as the U-solve, so gemm(i, j, k) reads
   // tile (I, K) while trsm_u is still writing it — a stale-tile race.
   for (race::Mode mode : kBothModes) {
@@ -1081,7 +1069,7 @@ TEST(RaceMutantTest, BlockedLuStaleTileRead) {
     rt::Scheduler sched(config_for(mode));
     race::Replay replay(sched, mode);
     {
-      race::region scope("BlockedLU-mutant");
+      race::region scope("tiled-LU-mutant");
       const std::size_t n = 16, b = 4;
       std::vector<double> lu(n * n, 1.0);
       double* p = lu.data();
@@ -1103,7 +1091,7 @@ TEST(RaceMutantTest, BlockedLuStaleTileRead) {
     }
     const auto& reports = replay.finish();
     ASSERT_FALSE(reports.empty()) << "stale-tile mutant not flagged";
-    EXPECT_TRUE(any_chain_mentions(reports, "BlockedLU-mutant"))
+    EXPECT_TRUE(any_chain_mentions(reports, "tiled-LU-mutant"))
         << dump(reports);
     // No locks anywhere near the tile phases: the report must say so.
     EXPECT_NE(dump(reports).find("no locks held by either access"),
@@ -1260,37 +1248,6 @@ TEST(RaceSweepTest, FftCertifiesAcrossSizes) {
   }
 }
 
-// The blocked kernels' spawn trees depend on the (n, block) tile shape:
-// ragged edge tiles, block ≥ n (one tile), and block = 1 (degenerate
-// tiles) all change the phase structure, so the tile geometry is swept
-// the same way Mergesort sweeps its cutoffs.
-
-TEST(RaceSweepTest, BlockedCholeskyCertifiesAcrossTileShapes) {
-  util::Xoshiro256 rng(0xB10C0CE0u);
-  for (int s = 0; s < sweep_n(); ++s) {
-    const std::size_t n = 8 + rng.next_below(17);        // 8..24
-    const std::size_t block = 1 + rng.next_below(n + 2);  // 1..n+2
-    const std::uint64_t seed = rng.next();
-    expect_swept_input_clean(
-        "n=" + std::to_string(n) + " block=" + std::to_string(block) +
-            " seed=" + std::to_string(seed),
-        [&] { return apps::BlockedCholeskyApp(n, block, seed); });
-  }
-}
-
-TEST(RaceSweepTest, BlockedLuCertifiesAcrossTileShapes) {
-  util::Xoshiro256 rng(0xB10C0D1Du);
-  for (int s = 0; s < sweep_n(); ++s) {
-    const std::size_t n = 8 + rng.next_below(17);
-    const std::size_t block = 1 + rng.next_below(n + 2);
-    const std::uint64_t seed = rng.next();
-    expect_swept_input_clean(
-        "n=" + std::to_string(n) + " block=" + std::to_string(block) +
-            " seed=" + std::to_string(seed),
-        [&] { return apps::BlockedLuApp(n, block, seed); });
-  }
-}
-
 // ---------------------------------------------------------------------
 // 6. Mode agreement. FastTrack's replace-at-begin semantics make the
 //    modeled relation for lock-free programs schedule-independent
@@ -1310,11 +1267,7 @@ class RaceModeAgreementTest : public ::testing::Test {
 };
 
 TEST_F(RaceModeAgreementTest, OneWorkerVerdictsMatchAcrossTheAppCorpus) {
-  std::vector<std::string> corpus(std::begin(apps::kAppNames),
-                                  std::end(apps::kAppNames));
-  corpus.emplace_back("BlockedCholesky");
-  corpus.emplace_back("BlockedLU");
-  for (const std::string& name : corpus) {
+  for (const char* name : apps::kAppNames) {
     SCOPED_TRACE(name);
     std::uint64_t found[2] = {0, 0};
     for (race::Mode mode : kBothModes) {

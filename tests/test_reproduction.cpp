@@ -120,13 +120,9 @@ TEST_F(Reproduction, Section44NoSingleProgramDegradation) {
     if (name == "PNN") continue;
     const auto profile = apps::make_sim_profile(name, cfg_->work_scale);
     auto solo = [&](SchedMode mode) {
-      sim::SimProgramSpec s;
-      s.name = name;
-      s.mode = mode;
-      s.dag = &profile.dag;
-      s.target_runs = 3;
-      s.default_mem_intensity = profile.mem_intensity;
-      return sim::simulate_solo(cfg_->params, s).programs[0].mean_run_time_us;
+      return sim::simulate_solo(cfg_->params, spec_for(profile, mode, 3))
+          .programs[0]
+          .mean_run_time_us;
     };
     const double classic = solo(SchedMode::kClassic);
     const double dws = solo(SchedMode::kDws);

@@ -4,7 +4,10 @@
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -186,27 +189,27 @@ TEST(Samples, PercentilesOverloadOnEmptyInput) {
 
 TEST(CliArgs, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--cores=16", "--mode=DWS"};
-  CliArgs args(3, argv);
+  CliArgs args(3, argv, {"cores", "mode"});
   EXPECT_EQ(args.get_int("cores", 0), 16);
   EXPECT_EQ(args.get_str("mode"), "DWS");
 }
 
 TEST(CliArgs, ParsesSpaceForm) {
   const char* argv[] = {"prog", "--cores", "8"};
-  CliArgs args(3, argv);
+  CliArgs args(3, argv, {"cores"});
   EXPECT_EQ(args.get_int("cores", 0), 8);
 }
 
 TEST(CliArgs, BareFlagIsTrue) {
   const char* argv[] = {"prog", "--verbose"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"verbose", "quiet"});
   EXPECT_TRUE(args.get_bool("verbose", false));
   EXPECT_FALSE(args.get_bool("quiet", false));
 }
 
 TEST(CliArgs, MissingKeyReturnsDefault) {
   const char* argv[] = {"prog"};
-  CliArgs args(1, argv);
+  CliArgs args(1, argv, {"n", "x", "s"});
   EXPECT_EQ(args.get_int("n", 42), 42);
   EXPECT_DOUBLE_EQ(args.get_double("x", 1.5), 1.5);
   EXPECT_EQ(args.get_str("s", "d"), "d");
@@ -214,19 +217,19 @@ TEST(CliArgs, MissingKeyReturnsDefault) {
 
 TEST(CliArgs, MalformedIntThrows) {
   const char* argv[] = {"prog", "--n=12x"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"n"});
   EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
 }
 
 TEST(CliArgs, MalformedBoolThrows) {
   const char* argv[] = {"prog", "--b=maybe"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"b"});
   EXPECT_THROW(args.get_bool("b", false), std::invalid_argument);
 }
 
 TEST(CliArgs, IntListParses) {
   const char* argv[] = {"prog", "--tsleep=1,2,4,8"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"tsleep"});
   const auto v = args.get_int_list("tsleep", {});
   ASSERT_EQ(v.size(), 4u);
   EXPECT_EQ(v[0], 1);
@@ -235,10 +238,32 @@ TEST(CliArgs, IntListParses) {
 
 TEST(CliArgs, PositionalPreserved) {
   const char* argv[] = {"prog", "alpha", "--k=1", "beta"};
-  CliArgs args(4, argv);
+  CliArgs args(4, argv, {"k"});
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "alpha");
   EXPECT_EQ(args.positional()[1], "beta");
+}
+
+TEST(CliArgs, UnknownFlagThrowsWithItsName) {
+  for (const char* flag : {"--reps", "--reps=3", "--scael=2"}) {
+    const char* argv[] = {"prog", "--scale=1", flag};
+    try {
+      CliArgs args(3, argv, {"scale"});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string name(flag, std::strcspn(flag, "="));
+      EXPECT_NE(std::string(e.what()).find("unknown flag " + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CliArgs, ReadingAnUndeclaredFlagIsAProgrammingError) {
+  const char* argv[] = {"prog"};
+  CliArgs args(1, argv, {"scale"});
+  EXPECT_THROW((void)args.get_int("runs", 3), std::logic_error);
+  EXPECT_THROW((void)args.has("runs"), std::logic_error);
 }
 
 TEST(Stopwatch, MeasuresMonotonicTime) {

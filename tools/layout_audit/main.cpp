@@ -161,7 +161,6 @@ struct Access {
     {
       // sched_ is a reference member: not offsetof-addressable, skipped.
       DWS_AUDIT_STRUCT(out, dws::rt::Coordinator);
-      DWS_AUDIT_FIELD(policy_, "");
       DWS_AUDIT_FIELD(driver_, "");
       DWS_AUDIT_FIELD(sweeper_, "");
       DWS_AUDIT_FIELD(thread_, "");
