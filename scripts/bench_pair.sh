@@ -17,11 +17,14 @@
 # export, not a worktree: benchmark/run.sh builds from source and needs
 # no git metadata), and each side builds into its own build-bench/.
 # Runs land in build-bench/pairs/<rev>-<workload>/runs-{parent,change}/.
+# After the diff it prints, per kernel and side, the median over seeds of
+# run_ms_p50, serial_ms and speedup (serial_ms / run_ms_p50), read from
+# the result files' cells[].programs[].
 # Exits with compare.py's status: 1 on a regression or a failed run.
 set -euo pipefail
 
 if (($# < 3)); then
-  sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 fi
 parent_rev="$1" workload="$2" seeds="$3"
@@ -64,5 +67,40 @@ for s in $seeds; do
   done
 done
 
-exec python3 "$root/benchmark/compare.py" diff "$out/runs-parent" \
-  "$out/runs-change"
+status=0
+python3 "$root/benchmark/compare.py" diff "$out/runs-parent" \
+  "$out/runs-change" || status=$?
+
+# Per-kernel view: which kernels a geomean moved with. One row per kernel
+# and side, each column the median over seeds of that side's result files.
+python3 - "$out/runs-parent" "$out/runs-change" <<'PY' || true
+import glob, json, statistics, sys
+
+rows = {}
+for side, d in (("parent", sys.argv[1]), ("change", sys.argv[2])):
+    for path in sorted(glob.glob(f"{d}/*-e2e.json")):
+        try:
+            cells = json.load(open(path))["cells"]
+        except (ValueError, KeyError):
+            continue
+        for cell in cells:
+            for p in cell["programs"]:
+                run, serial = p["run_ms_p50"], p["serial_ms"]
+                if not run > 0 or not serial > 0:
+                    continue  # sim-fig4 cells have no serial reference
+                key = p["kernel"] if cell["name"] == p["kernel"] else \
+                    f"{cell['name']}:{p['kernel']}"
+                rows.setdefault(key, {}).setdefault(side, []).append(
+                    (run, serial, serial / run))
+if rows:
+    print(f"\n{'kernel':<24} {'side':<7} {'seeds':>5} {'run_ms_p50':>11}"
+          f" {'serial_ms':>10} {'speedup':>8}")
+for key, sides in rows.items():
+    for side in ("parent", "change"):
+        v = sides.get(side, [])
+        if v:
+            med = [statistics.median(x[i] for x in v) for i in range(3)]
+            print(f"{key:<24} {side:<7} {len(v):>5} {med[0]:>11.3f}"
+                  f" {med[1]:>10.3f} {med[2]:>8.3f}")
+PY
+exit "$status"

@@ -27,6 +27,16 @@ class App {
 
   /// Execute the parallel kernel once on `sched`. May be called multiple
   /// times; each call re-runs the same problem instance.
+  ///
+  /// Contract: a run enters the scheduler once. The caller's thread does
+  /// the per-run setup, then one root task (one `sched.run`, or the one
+  /// top-level parallel call that makes it) runs the whole phase loop, so
+  /// every phase's parallel loop is a spawn and help-first join on a
+  /// worker rather than an external submission plus a wake of the
+  /// blocked caller. Buffers are allocated on the caller, before the root
+  /// task, not inside it: glibc serves a worker's allocations from that
+  /// worker's own arena, and kernel-sized buffers allocated on whichever
+  /// worker ran the root more than doubled the process's peak RSS.
   virtual void run(rt::Scheduler& sched) = 0;
 
   /// Execute the serial reference implementation once (for baselines and

@@ -92,7 +92,9 @@ void FftApp::run(rt::Scheduler& sched) {
   race::region race_scope("FFT");
   std::vector<Cplx> scratch(n_);
   output_.assign(n_, Cplx{});
-  fft_parallel(sched, input_.data(), n_, 1, output_.data(), scratch.data());
+  sched.run([&] {
+    fft_parallel(sched, input_.data(), n_, 1, output_.data(), scratch.data());
+  });
 }
 
 void FftApp::run_serial() {

@@ -52,37 +52,41 @@ void CholeskyApp::run(rt::Scheduler& sched) {
   l_ = a_;
   const std::size_t n = n_;
   double* l = l_.data();
-  for (std::size_t k = 0; k < n; ++k) {
-    l[k * n + k] = std::sqrt(l[k * n + k]);
-    const double dk = l[k * n + k];
-    // Scale column k below the diagonal, then the trailing update — the
-    // shrinking parallel region.
-    rt::parallel_for(sched, static_cast<std::int64_t>(k) + 1,
-                     static_cast<std::int64_t>(n), 16,
-                     [l, n, k, dk](std::int64_t b, std::int64_t e) {
-                       // Strided column-k write: rows b..e of column k.
-                       race::write(l + b * n + k, static_cast<std::size_t>(e - b),
-                                   static_cast<std::ptrdiff_t>(n));
-                       for (std::int64_t i = b; i < e; ++i) {
-                         l[i * n + k] /= dk;
-                       }
-                     });
-    rt::parallel_for(
-        sched, static_cast<std::int64_t>(k) + 1, static_cast<std::int64_t>(n),
-        8, [l, n, k](std::int64_t rb, std::int64_t re) {
-          for (std::int64_t i = rb; i < re; ++i) {
-            const double lik = l[i * n + k];
-            // Reads column k rows k+1..i (strided), updates row i
-            // columns k+1..i in place.
-            race::read(l + (k + 1) * n + k, static_cast<std::size_t>(i - k),
-                       static_cast<std::ptrdiff_t>(n));
-            race::write(l + i * n + k + 1, static_cast<std::size_t>(i - k));
-            for (std::int64_t j = k + 1; j <= i; ++j) {
-              l[i * n + j] -= lik * l[j * n + k];
+  sched.run([&sched, l, n] {
+    for (std::size_t k = 0; k < n; ++k) {
+      l[k * n + k] = std::sqrt(l[k * n + k]);
+      const double dk = l[k * n + k];
+      // Scale column k below the diagonal, then the trailing update — the
+      // shrinking parallel region.
+      rt::parallel_for(sched, static_cast<std::int64_t>(k) + 1,
+                       static_cast<std::int64_t>(n), 16,
+                       [l, n, k, dk](std::int64_t b, std::int64_t e) {
+                         // Strided column-k write: rows b..e of column k.
+                         race::write(l + b * n + k,
+                                     static_cast<std::size_t>(e - b),
+                                     static_cast<std::ptrdiff_t>(n));
+                         for (std::int64_t i = b; i < e; ++i) {
+                           l[i * n + k] /= dk;
+                         }
+                       });
+      rt::parallel_for(
+          sched, static_cast<std::int64_t>(k) + 1,
+          static_cast<std::int64_t>(n), 8,
+          [l, n, k](std::int64_t rb, std::int64_t re) {
+            for (std::int64_t i = rb; i < re; ++i) {
+              const double lik = l[i * n + k];
+              // Reads column k rows k+1..i (strided), updates row i
+              // columns k+1..i in place.
+              race::read(l + (k + 1) * n + k, static_cast<std::size_t>(i - k),
+                         static_cast<std::ptrdiff_t>(n));
+              race::write(l + i * n + k + 1, static_cast<std::size_t>(i - k));
+              for (std::int64_t j = k + 1; j <= i; ++j) {
+                l[i * n + j] -= lik * l[j * n + k];
+              }
             }
-          }
-        });
-  }
+          });
+    }
+  });
   // Zero the strict upper triangle so L is clean.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) l[i * n + j] = 0.0;
@@ -142,23 +146,26 @@ void LuApp::run(rt::Scheduler& sched) {
   lu_ = a_;
   const std::size_t n = n_;
   double* lu = lu_.data();
-  for (std::size_t k = 0; k + 1 < n; ++k) {
-    const double pivot = lu[k * n + k];
-    rt::parallel_for(
-        sched, static_cast<std::int64_t>(k) + 1, static_cast<std::int64_t>(n),
-        8, [lu, n, k, pivot](std::int64_t rb, std::int64_t re) {
-          // Each row i: reads pivot row k, rewrites row i from column k.
-          race::read(lu + k * n + k, n - k);
-          for (std::int64_t i = rb; i < re; ++i) {
-            race::write(lu + i * n + k, n - k);
-            const double mult = lu[i * n + k] / pivot;
-            lu[i * n + k] = mult;
-            for (std::size_t j = k + 1; j < n; ++j) {
-              lu[i * n + j] -= mult * lu[k * n + j];
+  sched.run([&sched, lu, n] {
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      const double pivot = lu[k * n + k];
+      rt::parallel_for(
+          sched, static_cast<std::int64_t>(k) + 1,
+          static_cast<std::int64_t>(n), 8,
+          [lu, n, k, pivot](std::int64_t rb, std::int64_t re) {
+            // Each row i: reads pivot row k, rewrites row i from column k.
+            race::read(lu + k * n + k, n - k);
+            for (std::int64_t i = rb; i < re; ++i) {
+              race::write(lu + i * n + k, n - k);
+              const double mult = lu[i * n + k] / pivot;
+              lu[i * n + k] = mult;
+              for (std::size_t j = k + 1; j < n; ++j) {
+                lu[i * n + j] -= mult * lu[k * n + j];
+              }
             }
-          }
-        });
-  }
+          });
+    }
+  });
 }
 
 void LuApp::run_serial() {
@@ -224,27 +231,30 @@ void GeApp::run(rt::Scheduler& sched) {
   double* ap = a.data();
   double* bp = b.data();
   // Forward elimination with shrinking parallel row updates.
-  for (std::size_t k = 0; k + 1 < n; ++k) {
-    const double pivot = ap[k * n + k];
-    rt::parallel_for(
-        sched, static_cast<std::int64_t>(k) + 1, static_cast<std::int64_t>(n),
-        8, [ap, bp, n, k, pivot](std::int64_t rb, std::int64_t re) {
-          // Each row i: reads pivot row k and b[k], rewrites row i from
-          // column k and b[i].
-          race::read(ap + k * n + k, n - k);
-          race::read(bp + k);
-          for (std::int64_t i = rb; i < re; ++i) {
-            race::write(ap + i * n + k, n - k);
-            race::write(bp + i);
-            const double mult = ap[i * n + k] / pivot;
-            ap[i * n + k] = 0.0;
-            for (std::size_t j = k + 1; j < n; ++j) {
-              ap[i * n + j] -= mult * ap[k * n + j];
+  sched.run([&sched, ap, bp, n] {
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      const double pivot = ap[k * n + k];
+      rt::parallel_for(
+          sched, static_cast<std::int64_t>(k) + 1,
+          static_cast<std::int64_t>(n), 8,
+          [ap, bp, n, k, pivot](std::int64_t rb, std::int64_t re) {
+            // Each row i: reads pivot row k and b[k], rewrites row i from
+            // column k and b[i].
+            race::read(ap + k * n + k, n - k);
+            race::read(bp + k);
+            for (std::int64_t i = rb; i < re; ++i) {
+              race::write(ap + i * n + k, n - k);
+              race::write(bp + i);
+              const double mult = ap[i * n + k] / pivot;
+              ap[i * n + k] = 0.0;
+              for (std::size_t j = k + 1; j < n; ++j) {
+                ap[i * n + j] -= mult * ap[k * n + j];
+              }
+              bp[i] -= mult * bp[k];
             }
-            bp[i] -= mult * bp[k];
-          }
-        });
-  }
+          });
+    }
+  });
   // Serial back substitution (negligible O(n^2) tail).
   x_.assign(n, 0.0);
   for (std::size_t ii = n; ii-- > 0;) {

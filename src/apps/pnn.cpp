@@ -114,7 +114,9 @@ double PnnApp::train(rt::Scheduler* sched) {
   return loss;
 }
 
-void PnnApp::run(rt::Scheduler& sched) { final_loss_ = train(&sched); }
+void PnnApp::run(rt::Scheduler& sched) {
+  sched.run([&] { final_loss_ = train(&sched); });
+}
 
 void PnnApp::run_serial() { final_loss_ = train(nullptr); }
 

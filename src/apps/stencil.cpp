@@ -52,26 +52,28 @@ void HeatApp::run(rt::Scheduler& sched) {
   std::vector<double> cur, next;
   init_grid(cur);
   next = cur;
-  for (unsigned it = 0; it < iterations_; ++it) {
-    rt::parallel_for(
-        sched, 1, static_cast<std::int64_t>(rows_) - 1, 8,
-        [&](std::int64_t rb, std::int64_t re) {
-          for (std::int64_t r = rb; r < re; ++r) {
-            const double* up = &cur[(r - 1) * cols_];
-            const double* mid = &cur[r * cols_];
-            const double* down = &cur[(r + 1) * cols_];
-            double* out = &next[r * cols_];
-            // Footprint: reads rows r-1..r+1 of cur, writes the interior
-            // of row r of next.
-            race::read(up, 3 * cols_);
-            race::write(out + 1, cols_ - 2);
-            for (std::size_t c = 1; c + 1 < cols_; ++c) {
-              out[c] = 0.25 * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
+  sched.run([&] {
+    for (unsigned it = 0; it < iterations_; ++it) {
+      rt::parallel_for(
+          sched, 1, static_cast<std::int64_t>(rows_) - 1, 8,
+          [&](std::int64_t rb, std::int64_t re) {
+            for (std::int64_t r = rb; r < re; ++r) {
+              const double* up = &cur[(r - 1) * cols_];
+              const double* mid = &cur[r * cols_];
+              const double* down = &cur[(r + 1) * cols_];
+              double* out = &next[r * cols_];
+              // Footprint: reads rows r-1..r+1 of cur, writes the interior
+              // of row r of next.
+              race::read(up, 3 * cols_);
+              race::write(out + 1, cols_ - 2);
+              for (std::size_t c = 1; c + 1 < cols_; ++c) {
+                out[c] = 0.25 * (up[c] + down[c] + mid[c - 1] + mid[c + 1]);
+              }
             }
-          }
-        });
-    std::swap(cur, next);
-  }
+          });
+      std::swap(cur, next);
+    }
+  });
   grid_ = std::move(cur);
 }
 
@@ -159,10 +161,12 @@ void SorApp::run(rt::Scheduler& sched) {
   race::region race_scope("SOR");
   std::vector<double> g;
   init_grid(g);
-  for (unsigned it = 0; it < iterations_; ++it) {
-    sweep_color(&sched, g, 0);
-    sweep_color(&sched, g, 1);
-  }
+  sched.run([&] {
+    for (unsigned it = 0; it < iterations_; ++it) {
+      sweep_color(&sched, g, 0);
+      sweep_color(&sched, g, 1);
+    }
+  });
   grid_ = std::move(g);
 }
 

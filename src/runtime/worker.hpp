@@ -98,12 +98,14 @@ class Worker {
 
   /// How long a program's last Active worker keeps searching after
   /// StealPolicy says sleep (DWS, DWS-NC). It must outlast the gap an
-  /// external driver leaves between two `run()` calls, which is part of
-  /// one `run()` round trip: dws-bench's ledger puts that round trip at
-  /// 66-134 µs at p99 (`external_run_us_p99`, 4-vCPU Xeon). A phased
-  /// program then keeps one core across its phase gaps instead of paying
-  /// sleep, coordinator nudge and wake per phase, while an idle program
-  /// still frees its last core about 200 µs after its work ends.
+  /// external driver leaves between two `Scheduler::run()` calls, which is
+  /// part of one round trip: dws-bench's ledger puts that round trip at
+  /// 66-134 µs at p99 (`external_run_us_p99`, 4-vCPU Xeon). The Table-2
+  /// kernels run their phases inside one root task, so their phase gaps
+  /// are joins on a worker; the linger covers the gaps between two kernel
+  /// runs instead of paying sleep, coordinator nudge and wake per run,
+  /// while an idle program still frees its last core about 200 µs after
+  /// its work ends.
   static constexpr std::chrono::microseconds kLinger{200};
 
   Worker(Scheduler& sched, unsigned id);

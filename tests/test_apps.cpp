@@ -3,6 +3,7 @@
 // its parallel implementation, under multiple scheduling modes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
 
@@ -69,6 +70,26 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return s;
     });
+
+TEST(AppContract, OneExternalSubmissionPerRun) {
+  // App::run's contract: the phase loop runs inside one root task, so each
+  // run() crosses from the caller into the scheduler exactly once however
+  // many phases the kernel has (inner parallel loops spawn on workers).
+  for (SchedMode mode : {SchedMode::kDws, SchedMode::kClassic}) {
+    rt::Scheduler sched(test_config(mode));
+    for (const char* name : kAppNames) {
+      auto app = make_app(name, Scale::kSmall);
+      ASSERT_NE(app, nullptr);
+      for (int round = 0; round < 2; ++round) {
+        const std::uint64_t before = sched.alloc_stats().external_spawns;
+        app->run(sched);
+        EXPECT_EQ(sched.alloc_stats().external_spawns - before, 1u)
+            << name << " under " << to_string(mode) << ", run " << round;
+        ASSERT_EQ(app->verify(), "") << name << " under " << to_string(mode);
+      }
+    }
+  }
+}
 
 TEST(AppRegistry, KnowsAllEightAndRejectsUnknown) {
   for (const char* name : kAppNames) {

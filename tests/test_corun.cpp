@@ -158,17 +158,27 @@ TEST(CoRun, OwnerReclaimsCoresWhenItsDemandReturns) {
       << "b never borrowed a's cores";
 
   // Phase 2: a's demand returns; its coordinator must take cores back
-  // (no free cores exist while b is saturating the machine).
+  // (no free cores exist while b is saturating the machine). a's load
+  // stays queued until a tick has reclaimed: on a loaded host a fixed
+  // number of rounds can drain before any tick sees it.
   std::atomic<int> ca{0};
-  for (int round = 0; round < 10; ++round) {
-    parallel_for_each_index(a, 0, 2000, 4, [&](std::int64_t) {
-      spin_work(100);
-      ca.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
+  std::atomic<bool> stop_a{false};
+  int rounds = 0;
+  std::thread ta([&] {
+    do {
+      parallel_for_each_index(a, 0, 2000, 4, [&](std::int64_t) {
+        spin_work(100);
+        ca.fetch_add(1, std::memory_order_relaxed);
+      });
+      ++rounds;
+    } while (!stop_a.load(std::memory_order_acquire));
+  });
+  (void)eventually([&] { return a.stats().cores_reclaimed > 0; });
+  stop_a.store(true, std::memory_order_release);
+  ta.join();
   stop_b.store(true, std::memory_order_release);
   tb.join();
-  EXPECT_EQ(ca.load(), 20000);
+  EXPECT_EQ(ca.load(), 2000 * rounds);
   const auto stats = a.stats();
   EXPECT_GT(stats.cores_reclaimed, 0u)
       << "a never reclaimed its borrowed home cores";

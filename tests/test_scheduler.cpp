@@ -285,10 +285,20 @@ TEST(SchedulerDws, SecondProgramSlotStartsAsleep) {
   Scheduler sched(make_config(SchedMode::kDws, 4, 2));
   ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() >= 2; }));
   // Sustained load lets the coordinator claim the free non-home cores.
+  // The load stays queued until a tick has claimed: on a loaded host a
+  // fixed batch can drain before any tick sees it.
   std::atomic<std::int64_t> sum{0};
-  parallel_for_each_index(sched, 0, 200000, 16, [&](std::int64_t i) {
-    sum.fetch_add(i % 7, std::memory_order_relaxed);
+  std::atomic<bool> stop{false};
+  std::thread load([&] {
+    do {
+      parallel_for_each_index(sched, 0, 200000, 16, [&](std::int64_t i) {
+        sum.fetch_add(i % 7, std::memory_order_relaxed);
+      });
+    } while (!stop.load(std::memory_order_acquire));
   });
+  (void)eventually([&] { return sched.stats().cores_claimed > 0; });
+  stop.store(true, std::memory_order_release);
+  load.join();
   const auto stats = sched.stats();
   EXPECT_GT(stats.cores_claimed, 0u)
       << "coordinator should have claimed free non-home cores under load";
