@@ -18,13 +18,14 @@
 # no git metadata), and each side builds into its own build-bench/.
 # Runs land in build-bench/pairs/<rev>-<workload>/runs-{parent,change}/.
 # After the diff it prints, per kernel and side, the median over seeds of
-# run_ms_p50, serial_ms and speedup (serial_ms / run_ms_p50), read from
-# the result files' cells[].programs[].
+# run_ms_p50, serial_ms, speedup (serial_ms / run_ms_p50) and cpu_ms (the
+# cell's CPU time per run, all its programs together), read from the
+# result files' cells[] and cells[].programs[].
 # Exits with compare.py's status: 1 on a regression or a failed run.
 set -euo pipefail
 
 if (($# < 3)); then
-  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,24p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
 fi
 parent_rev="$1" workload="$2" seeds="$3"
@@ -91,16 +92,16 @@ for side, d in (("parent", sys.argv[1]), ("change", sys.argv[2])):
                 key = p["kernel"] if cell["name"] == p["kernel"] else \
                     f"{cell['name']}:{p['kernel']}"
                 rows.setdefault(key, {}).setdefault(side, []).append(
-                    (run, serial, serial / run))
+                    (run, serial, serial / run, cell["cpu_ms_per_run"]))
 if rows:
     print(f"\n{'kernel':<24} {'side':<7} {'seeds':>5} {'run_ms_p50':>11}"
-          f" {'serial_ms':>10} {'speedup':>8}")
+          f" {'serial_ms':>10} {'speedup':>8} {'cpu_ms':>9}")
 for key, sides in rows.items():
     for side in ("parent", "change"):
         v = sides.get(side, [])
         if v:
-            med = [statistics.median(x[i] for x in v) for i in range(3)]
+            med = [statistics.median(x[i] for x in v) for i in range(4)]
             print(f"{key:<24} {side:<7} {len(v):>5} {med[0]:>11.3f}"
-                  f" {med[1]:>10.3f} {med[2]:>8.3f}")
+                  f" {med[1]:>10.3f} {med[2]:>8.3f} {med[3]:>9.3f}")
 PY
 exit "$status"

@@ -1,6 +1,9 @@
 #include "runtime/coordinator.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
+#include <utility>
 
 #include "runtime/scheduler.hpp"
 
@@ -33,24 +36,57 @@ void Coordinator::stop() {
     std::lock_guard<std::mutex> lock(m_);
     stop_requested_ = true;
     cv_.notify_all();
+    watch_cv_.notify_all();
   }
   if (thread_.joinable()) thread_.join();
 }
 
 void Coordinator::thread_main() {
-  const auto period = std::chrono::duration<double, std::milli>(
-      sched_.config().coordinator_period_ms);
+  using Clock = std::chrono::steady_clock;
+  // Capped at about 30 years so the deadline arithmetic cannot overflow;
+  // tests push the period out of reach with values like 1e9 ms.
+  const auto period = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(
+          std::min(sched_.config().coordinator_period_ms, 1e12)));
+  auto next_tick = Clock::now() + period;
+  std::optional<Clock::time_point> watch_end;  // a backlog watch runs
   std::unique_lock<std::mutex> lock(m_);
   while (!stop_requested_) {
-    // Sleeping every T ms (§3.4). nudge() cuts the wait short so
-    // externally submitted work on a fully-asleep program is picked up
-    // promptly; its flag outlives a nudge that lands mid-tick, which then
-    // ends the next wait at once instead of being lost for a period.
-    cv_.wait_for(lock, period, [this] { return nudged_ || stop_requested_; });
+    // Sleeping every T ms (§3.4). A nudge, or the end of a backlog watch,
+    // runs the demand step alone in between, so the period's heartbeat and
+    // stale sweep keep their once-per-T cadence and a watch never delays
+    // a period. The nudge flag outlives a nudge that lands mid-step, which
+    // then ends the next wait at once instead of being lost for a period.
+    if (watch_end) {
+      // Arms signal cv_ only, so the push edges that keep coming during a
+      // watch do not wake the coordinator.
+      watch_cv_.wait_until(lock, std::min(*watch_end, next_tick), [this] {
+        return nudged_ || stop_requested_;
+      });
+    } else {
+      cv_.wait_until(lock, next_tick, [this] {
+        return nudged_ || stop_requested_ ||
+               watch_armed_.load(std::memory_order_relaxed);
+      });
+    }
     if (stop_requested_) break;
-    nudged_ = false;
+    const bool nudged = std::exchange(nudged_, false);
     lock.unlock();
-    tick();
+    const auto now = Clock::now();
+    if (now >= next_tick) {
+      next_tick = now + period;
+      tick();
+      watch_end.reset();  // the step just read the live backlog
+    } else if (nudged) {
+      step();
+      watch_end.reset();
+    } else if (!watch_end) {
+      start_watch();
+      watch_end = now + watch_wait_;
+    } else if (now >= *watch_end) {
+      watch_end.reset();
+      end_watch();
+    }
     lock.lock();
   }
 }
@@ -59,11 +95,36 @@ void Coordinator::nudge() noexcept {
   std::lock_guard<std::mutex> lock(m_);
   nudged_ = true;
   cv_.notify_all();
+  watch_cv_.notify_all();
+}
+
+void Coordinator::start_watch() {
+  // Disarm before marking. The arm's exchange and this one are acq_rel
+  // RMWs on one flag: either this exchange reads a push edge's arm, and
+  // then the marks below see that push, or the edge's arm comes later and
+  // starts the next watch. No edge is lost.
+  watch_armed_.exchange(false, std::memory_order_acq_rel);
+  const unsigned k = sched_.num_workers();
+  marks_.resize(k);
+  for (unsigned i = 0; i < k; ++i) {
+    marks_[i] = sched_.worker_at(i).deque().mark();
+  }
+}
+
+void Coordinator::end_watch() {
+  for (unsigned i = 0; i < sched_.num_workers(); ++i) {
+    if (backlog_aged(marks_[i], sched_.worker_at(i).deque().mark())) {
+      watch_wait_ = kBacklogAge;
+      step();
+      return;
+    }
+  }
+  watch_wait_ = watch_armed_.load(std::memory_order_relaxed)
+                    ? std::min(2 * watch_wait_, kBacklogWatchCap)
+                    : kBacklogAge;
 }
 
 void Coordinator::tick() {
-  ticks_.fetch_add(1, std::memory_order_relaxed);
-
   if (driver_ != nullptr) {
     // Liveness: tell co-runners we are alive, then recover from any that
     // no longer are. Sweeping before the snapshot means cores freed from
@@ -80,7 +141,11 @@ void Coordinator::tick() {
       }
     }
   }
+  step();
+}
 
+void Coordinator::step() {
+  ticks_.fetch_add(1, std::memory_order_relaxed);
   const DemandSnapshot demand{.queued_tasks = sched_.queued_tasks(),
                               .active_workers = sched_.active_workers(),
                               .sleeping_workers = sched_.sleeping_workers()};

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/atomics_policy.hpp"
+#include "core/backlog_age.hpp"
 #include "util/layout.hpp"
 
 // ThreadSanitizer does not model std::atomic_thread_fence, so the
@@ -87,7 +88,13 @@ class ChaseLevDeque {
   /// is an owner-local lower bound on top_ (top_ only grows), so a pass
   /// of the cached fullness test is definitive and the acquire refresh
   /// happens only when the deque looks full.
-  void push(T item) {
+  ///
+  /// Returns true when the owner last saw the deque empty, i.e. this push
+  /// is its empty -> non-empty edge. The test reads only the cached top:
+  /// it is exact after the owner's own last pop, and a deque that thieves
+  /// emptied behind the owner's back does not count (those thieves are
+  /// awake).
+  bool push(T item) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     Buffer* buf = buffer_.load(std::memory_order_relaxed);
     if (b - top_cache_ > static_cast<std::int64_t>(buf->capacity) - 1) {
@@ -99,6 +106,7 @@ class ChaseLevDeque {
     buf->put(b, item);
     Policy::fence(std::memory_order_release);
     bottom_.store(b + 1, kPublishOrder);
+    return b == top_cache_;
   }
 
   /// Owner only: pop from the bottom (LIFO — preserves locality).
@@ -121,9 +129,11 @@ class ChaseLevDeque {
                                         std::memory_order_relaxed)) {
         // A thief won the race.
         bottom_.store(b + 1, std::memory_order_relaxed);
+        top_cache_ = b + 1;  // the thief's CAS moved top_ to b + 1
         return std::nullopt;
       }
       bottom_.store(b + 1, std::memory_order_relaxed);
+      top_cache_ = b + 1;  // our CAS did: the deque is empty now
     }
     return item;
   }
@@ -154,6 +164,15 @@ class ChaseLevDeque {
   }
 
   [[nodiscard]] bool empty_approx() const noexcept { return size_approx() == 0; }
+
+  /// Racy (top, bottom) for the coordinator's backlog-age check
+  /// (core/backlog_age.hpp). The two relaxed loads need not form one
+  /// snapshot; a wrong verdict costs one demand step, which Eq. 1 then
+  /// decides from the live backlog.
+  [[nodiscard]] DequeMark mark() const noexcept {
+    return {top_.load(std::memory_order_relaxed),
+            bottom_.load(std::memory_order_relaxed)};
+  }
 
   [[nodiscard]] std::size_t capacity() const noexcept {
     return buffer_.load(std::memory_order_relaxed)->capacity;

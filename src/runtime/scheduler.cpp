@@ -84,7 +84,12 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
       total_pending_.fetch_add(1, std::memory_order_acq_rel);
   if (w != nullptr) {
     // Algorithm 1's common case: spawn onto the spawning worker's deque.
-    w->deque().push(task);
+    // Its empty -> non-empty edge arms the coordinator's backlog watch
+    // while a worker sleeps; the arm itself is a no-op while armed.
+    if (w->deque().push(task) &&
+        sleepers_.load(std::memory_order_relaxed) != 0 && coordinator_) {
+      coordinator_->arm_backlog_watch();
+    }
     return;
   }
   // External submission: through the injection inbox.

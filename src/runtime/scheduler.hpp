@@ -246,6 +246,13 @@ class Scheduler {
   alignas(layout::kCacheLineBytes) DWS_SHARED std::mutex gate_m_;
   DWS_SHARED std::condition_variable gate_cv_;
 
+  // Workers past the sleep handshake and blocked, or about to block: a
+  // hint for the backlog watch's arm (a stale read costs at most one
+  // period's delay, as before the watch existed). Written on every sleep
+  // and wake, read on every push edge, so it gets its own line.
+  alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<unsigned> sleepers_{
+      0};
+
   // Control words: written rarely (shutdown once), read on worker loops —
   // keep them off the gate lines so a gate broadcast does not invalidate
   // every reader.

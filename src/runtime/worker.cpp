@@ -115,6 +115,7 @@ void Worker::go_to_sleep(bool count_as_eviction) {
 
   ++stats_.sleeps;
   if (count_as_eviction) ++stats_.evictions;
+  sched_.sleepers_.fetch_add(1, std::memory_order_relaxed);
   if (mode_space_shares(sched_.mode())) {
     // CAS-guarded: fails harmlessly when the core was reclaimed from us.
     sched_.table()->release(id_, sched_.pid());
@@ -127,6 +128,7 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     wake_pending_ = false;
     state_.store(static_cast<int>(State::kActive), std::memory_order_release);
   }
+  sched_.sleepers_.fetch_sub(1, std::memory_order_relaxed);
   ++stats_.wakes;
 }
 

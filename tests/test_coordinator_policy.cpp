@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/backlog_age.hpp"
 #include "core/coordinator_policy.hpp"
 #include "core/topology.hpp"
 
@@ -146,6 +147,36 @@ TEST(CoordinatorPolicy, WakeCountIsMonotoneInBacklog) {
     EXPECT_GE(total, prev) << "backlog " << nb;
     prev = total;
   }
+}
+
+// ---- The backlog-age predicate over (top, bottom) marks ----
+
+TEST(BacklogAge, TaskStillQueuedAtTheSameTopIsAged) {
+  // Non-empty at both marks, top unmoved: the task at index 5 waited the
+  // whole interval, whatever the owner pushed or popped above it.
+  EXPECT_TRUE(backlog_aged({5, 6}, {5, 6}));
+  EXPECT_TRUE(backlog_aged({5, 9}, {5, 6}));
+  EXPECT_TRUE(backlog_aged({5, 6}, {5, 40}));
+}
+
+TEST(BacklogAge, EmptyAtTheMarkRefilledAtTheSameTopIsNotAged) {
+  // Empty at the first mark, refilled at the same top: the task arrived
+  // after the mark and has not waited the interval.
+  EXPECT_FALSE(backlog_aged({5, 5}, {5, 6}));
+  EXPECT_FALSE(backlog_aged({0, 0}, {0, 3}));
+}
+
+TEST(BacklogAge, MovedTopIsNotAged) {
+  // A steal or the owner's pop of the last task moved top: the task the
+  // first mark saw is gone, even if the deque is non-empty again.
+  EXPECT_FALSE(backlog_aged({5, 6}, {6, 7}));
+  EXPECT_FALSE(backlog_aged({5, 9}, {7, 9}));
+}
+
+TEST(BacklogAge, EmptyNowIsNotAged) {
+  EXPECT_FALSE(backlog_aged({5, 6}, {5, 5}));
+  EXPECT_FALSE(backlog_aged({5, 6}, {6, 6}));
+  EXPECT_FALSE(backlog_aged({0, 0}, {0, 0}));
 }
 
 // ---- CoordinatorDriver against a real table ----

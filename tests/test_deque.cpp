@@ -75,6 +75,39 @@ TEST(ChaseLevDeque, ReusableAfterDraining) {
 
 // Stress: one owner pushes/pops while several thieves steal. Every pushed
 // element must be consumed exactly once (across pops and steals).
+TEST(ChaseLevDeque, PushReportsTheEmptyToNonEmptyEdge) {
+  ChaseLevDeque<int> dq(4);
+  EXPECT_TRUE(dq.push(1));   // empty -> non-empty
+  EXPECT_FALSE(dq.push(2));  // already non-empty
+  EXPECT_EQ(dq.pop(), 2);
+  EXPECT_FALSE(dq.push(3));  // 1 is still queued
+  EXPECT_EQ(dq.pop(), 3);
+  EXPECT_EQ(dq.pop(), 1);    // the last task: top moves
+  EXPECT_TRUE(dq.push(4));   // emptied by the owner's own pop
+  EXPECT_EQ(dq.steal(), 4);
+  EXPECT_EQ(dq.pop(), std::nullopt);  // the owner sees the steal
+  EXPECT_TRUE(dq.push(5));
+  // Growth past the initial capacity keeps the edge exact.
+  for (int i = 0; i < 16; ++i) EXPECT_FALSE(dq.push(i));
+  while (dq.pop()) {
+  }
+  EXPECT_TRUE(dq.push(6));
+}
+
+TEST(ChaseLevDeque, MarkIsTopAndBottom) {
+  ChaseLevDeque<int> dq(4);
+  EXPECT_FALSE(dq.mark().nonempty());
+  dq.push(1);
+  dq.push(2);
+  const DequeMark m = dq.mark();
+  EXPECT_EQ(m.bottom - m.top, 2);
+  EXPECT_EQ(dq.pop(), 2);  // a pop above the oldest task leaves top alone
+  EXPECT_EQ(dq.mark().top, m.top);
+  EXPECT_EQ(dq.steal(), 1);  // a steal moves it
+  EXPECT_EQ(dq.mark().top, m.top + 1);
+  EXPECT_FALSE(dq.mark().nonempty());
+}
+
 TEST(ChaseLevDequeStress, NoLossNoDuplication) {
   constexpr std::intptr_t kItems = 200000;
   constexpr int kThieves = 3;

@@ -5,8 +5,10 @@
 // Note: the CI host may have a single hardware core; these tests validate
 // functional correctness (which is core-count independent), not speedup.
 #include <gtest/gtest.h>
+#include <signal.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <numeric>
 #include <stdexcept>
@@ -323,6 +325,117 @@ TEST(SchedulerDws, ANudgeDuringATickIsNotLost) {
     }
     ASSERT_GT(coord.ticks(), before) << "nudge " << i << " was lost";
   }
+}
+
+TEST(SchedulerDws, NudgesDoNotAdvanceTheStaleClock) {
+  // The stale sweep advances a co-runner's stall clock by one period per
+  // call, so only the period's tick may run it: a burst of nudges must
+  // not declare a silent co-runner dead long before K·T has passed.
+  // The co-runner is bound to a pid above Linux's PID_MAX_LIMIT (2^22),
+  // which kill(pid, 0) reports as gone.
+  constexpr std::uint32_t kDeadPid = 1u << 30;
+  ASSERT_EQ(::kill(static_cast<pid_t>(kDeadPid), 0), -1);
+  ASSERT_EQ(errno, ESRCH);
+  CoreTableLocal local(2, 2);
+  const ProgramId corpse = local.table().register_program();
+  ASSERT_TRUE(local.table().bind_liveness(corpse, kDeadPid));
+
+  Config cfg = make_config(SchedMode::kDws, 2, 2);
+  cfg.coordinator_period_ms = 60000.0;
+  cfg.stale_after_periods = 3;
+  Scheduler sched(cfg, &local.table());
+  Coordinator& coord = *sched.coordinator();
+  for (int i = 0; i < 10; ++i) {
+    const std::uint64_t before = coord.ticks();
+    coord.nudge();
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (coord.ticks() == before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    ASSERT_GT(coord.ticks(), before) << "nudge " << i << " was lost";
+  }
+  EXPECT_EQ(sched.stats().stale_programs_swept, 0u);
+  EXPECT_EQ(local.table().liveness_os_pid(corpse), kDeadPid);
+}
+
+TEST(SchedulerDws, FansOutBeforeThePeriod) {
+  // A period far longer than the test: after the root's nudge wakes one
+  // worker, only the backlog watch can wake the rest. The root spawns
+  // k - 1 chunks that spin until k distinct workers have run one, so they
+  // stay queued until sleepers join.
+  constexpr unsigned kWorkers = 4;
+  Config cfg = make_config(SchedMode::kDws, kWorkers);
+  cfg.coordinator_period_ms = 60000.0;
+  Scheduler sched(cfg);
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == kWorkers; }));
+
+  constexpr unsigned kAll = (1u << kWorkers) - 1;
+  std::atomic<unsigned> seen{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto give_up = t0 + 10s;
+  auto chunk = [&] {
+    seen.fetch_or(1u << current_worker()->id());
+    while (seen.load() != kAll && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+  };
+  std::chrono::steady_clock::duration fanout{};
+  sched.run([&] {
+    TaskGroup group;
+    for (unsigned j = 1; j < kWorkers; ++j) sched.spawn(group, [&] { chunk(); });
+    chunk();
+    fanout = std::chrono::steady_clock::now() - t0;
+    sched.wait(group);
+  });
+  EXPECT_EQ(seen.load(), kAll);
+  // Expected: about kBacklogAge plus a wake. The bound leaves room for a
+  // loaded host and is still a tenth of the period.
+  EXPECT_LT(fanout, 6s);
+}
+
+TEST(SchedulerDws, PhasesShorterThanTheBacklogAgeWakeAlmostNoOne) {
+  // P phases of k - 1 empty tasks each, run by one worker through
+  // help-first joins: each phase ends in about a microsecond, far under
+  // the backlog age λ, so its tasks never wait λ unless the OS deschedules
+  // their worker mid-phase.
+  //
+  // Bound. The 60-s period adds no step. The root's external submission
+  // nudges one step, which wakes one worker (N_b = 1, N_a = 0). Every
+  // backlog step follows its own λ wait on the one coordinator thread, so
+  // a run of wall time W holds at most floor(W / λ) + 1 of them, and each
+  // wakes at most the k - 1 sleepers. Steps after the run see no backlog
+  // and wake no one. So wakes <= 1 + (k - 1) (floor(W / λ) + 1). Unloaded,
+  // W is a few ms and the bound a few dozen, against up to P (k - 1) for
+  // a trigger that wakes on every push edge.
+  constexpr unsigned kWorkers = 4;
+  constexpr int kPhases = 2000;
+  Config cfg = make_config(SchedMode::kDws, kWorkers);
+  cfg.coordinator_period_ms = 60000.0;
+  Scheduler sched(cfg);
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == kWorkers; }));
+
+  const std::uint64_t before = sched.stats().coordinator_wakes;
+  std::atomic<std::int64_t> ran{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  sched.run([&] {
+    for (int p = 0; p < kPhases; ++p) {
+      TaskGroup group;
+      for (unsigned j = 1; j < kWorkers; ++j) {
+        sched.spawn(group, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
+      }
+      sched.wait(group);
+    }
+  });
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(ran.load(), kPhases * std::int64_t{kWorkers - 1});
+  // Every worker asleep again: every step that woke one has been counted.
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == kWorkers; }));
+  const std::uint64_t wakes = sched.stats().coordinator_wakes - before;
+  const auto steps = static_cast<std::uint64_t>(wall / Coordinator::kBacklogAge) + 1;
+  EXPECT_LE(wakes, 1 + (kWorkers - 1) * steps)
+      << "run took " << std::chrono::duration<double, std::milli>(wall).count()
+      << " ms";
 }
 
 TEST(SchedulerDwsNc, SleepsAndWakesWithoutATable) {

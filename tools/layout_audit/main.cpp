@@ -153,6 +153,7 @@ struct Access {
       DWS_AUDIT_FIELD(total_pending_, "shared");
       DWS_AUDIT_FIELD(gate_m_, "shared");
       DWS_AUDIT_FIELD(gate_cv_, "shared");
+      DWS_AUDIT_FIELD(sleepers_, "shared");
       DWS_AUDIT_FIELD(shutdown_, "shared");
 #ifndef DWS_RACE_DISABLED
       DWS_AUDIT_FIELD(exec_hook_, "shared");
@@ -166,8 +167,12 @@ struct Access {
       DWS_AUDIT_FIELD(thread_, "");
       DWS_AUDIT_FIELD(m_, "shared");
       DWS_AUDIT_FIELD(cv_, "shared");
+      DWS_AUDIT_FIELD(watch_cv_, "shared");
       DWS_AUDIT_FIELD(stop_requested_, "shared");
       DWS_AUDIT_FIELD(nudged_, "shared");
+      DWS_AUDIT_FIELD(watch_armed_, "shared");
+      DWS_AUDIT_FIELD(marks_, "");
+      DWS_AUDIT_FIELD(watch_wait_, "");
       DWS_AUDIT_FIELD(ticks_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(wakes_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(cores_claimed_, "owned_by:coordinator");
