@@ -4,7 +4,6 @@
 //   $ ./dws_simulate --programs=FFT:DWS,Mergesort:DWS [--cores=16] [--runs=3]
 //               [--tsleep=-1] [--period-ms=10]
 //               [--sample-ms=0] [--trace] [--out=<dir>] [--scale=1.0]
-//               [--fast-cores=N --fast-speed=1.4 --slow-speed=0.7]
 //
 // Program syntax: NAME[:MODE] where NAME is a Table-2 benchmark and MODE
 // one of CLASSIC|ABP|EP|DWS|DWS-NC (default DWS).
@@ -43,9 +42,9 @@ bool parse_program(const std::string& token, ProgramArg& out) {
 int main(int argc, char** argv) try {
   using namespace dws;
   const util::CliArgs args(
-      argc, argv, {"cores", "fast-cores", "fast-speed", "out", "period-ms",
-                   "programs", "runs", "sample-ms", "scale", "seed",
-                   "slow-speed", "sockets", "trace", "tsleep"});
+      argc, argv, {"cores", "out", "period-ms", "programs", "runs",
+                   "sample-ms", "scale", "seed", "sockets", "trace",
+                   "tsleep"});
 
   std::vector<ProgramArg> program_args;
   {
@@ -76,16 +75,6 @@ int main(int argc, char** argv) try {
   if (sample_ms > 0.0) params.timeline_sample_period_us = sample_ms * 1000.0;
   params.collect_trace = args.get_bool("trace", false);
   params.seed = static_cast<std::uint64_t>(args.get_int("seed", 0xD5EED));
-  // Asymmetric machine: --fast-cores=8 --fast-speed=1.4 --slow-speed=0.7
-  if (args.has("fast-cores")) {
-    const auto fast = static_cast<unsigned>(args.get_int("fast-cores", 0));
-    const double fast_speed = args.get_double("fast-speed", 1.4);
-    const double slow_speed = args.get_double("slow-speed", 0.7);
-    params.core_speeds.assign(params.num_cores, slow_speed);
-    for (unsigned c = 0; c < fast && c < params.num_cores; ++c) {
-      params.core_speeds[c] = fast_speed;
-    }
-  }
 
   const double scale = args.get_double("scale", 1.0);
   const auto runs = static_cast<unsigned>(args.get_int("runs", 3));

@@ -18,8 +18,7 @@ fi
 BENCHES=(
   bench_table2_baselines bench_fig4_mixes bench_fig5_nc bench_fig6_tsleep
   bench_ablation_coordinator_period
-  bench_single_program_overhead bench_scalability_multiprog
-  bench_asymmetric bench_cache_model bench_machine_width
+  bench_single_program_overhead bench_cache_model
   bench_fig4_confidence bench_timeline bench_deadlock_overhead
 )
 
@@ -79,10 +78,7 @@ run bench_fig5_nc
 run bench_fig6_tsleep
 run bench_ablation_coordinator_period
 run bench_single_program_overhead
-run bench_scalability_multiprog
-run bench_asymmetric
 run bench_cache_model
-run bench_machine_width
 run bench_fig4_confidence --seeds=5
 run bench_timeline --out="$OUT"
 run bench_deadlock_overhead --out="$OUT/BENCH_deadlock_overhead.json"

@@ -16,6 +16,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "runtime/race_hook.hpp"
@@ -96,8 +97,11 @@ class TaskBase {
 template <typename F>
 class TaskImpl final : public TaskBase {
  public:
-  TaskImpl(TaskGroup* group, F&& fn)
-      : TaskBase(group), fn_(std::forward<F>(fn)) {}
+  // A template of its own, so `fn` binds an lvalue (copied) as well as an
+  // rvalue (moved): `F` is the decayed closure type.
+  template <typename G>
+  TaskImpl(TaskGroup* group, G&& fn)
+      : TaskBase(group), fn_(std::forward<G>(fn)) {}
 
  protected:
   void execute() override { fn_(); }
@@ -105,6 +109,9 @@ class TaskImpl final : public TaskBase {
  private:
   F fn_;
 };
+
+template <typename G>
+TaskImpl(TaskGroup*, G&&) -> TaskImpl<std::decay_t<G>>;
 
 /// Join counter for a set of spawned tasks (TBB task_group-style). The
 /// spawner increments `pending` per spawn; task completion decrements it.

@@ -157,11 +157,6 @@ struct SimEngine::Impl {
     m = static_cast<unsigned>(specs.size());
     if (k == 0 || m == 0) throw std::invalid_argument("need cores, programs");
     if (params.num_sockets == 0) throw std::invalid_argument("need sockets");
-    for (double speed : params.core_speeds) {
-      if (!(speed > 0.0)) {
-        throw std::invalid_argument("core speeds must be positive");
-      }
-    }
     for (const auto& spec : specs) {
       if (spec.dag == nullptr || spec.dag->empty()) {
         throw std::invalid_argument("program '" + spec.name + "' has no DAG");
@@ -416,9 +411,7 @@ struct SimEngine::Impl {
     double dur;
     if (w.op == Op::kExec) {
       w.seg_slowdown = current_slowdown(w);
-      // Wall time = work * cache factor / core speed (asymmetric cores).
-      const double wall_needed =
-          w.exec_work_left * w.seg_slowdown / params.speed_of(c);
+      const double wall_needed = w.exec_work_left * w.seg_slowdown;
       dur = std::min(wall_needed, params.cache_update_granularity_us);
     } else {
       dur = w.op_left;
@@ -628,9 +621,8 @@ struct SimEngine::Impl {
     core.quantum_left -= elapsed;
     core.busy_us += elapsed;
     if (w.op == Op::kExec) {
-      const double work_done = elapsed * params.speed_of(c) / w.seg_slowdown;
-      w.exec_work_left -= work_done;
-      // Extra wall time attributable to cold caches (speed-independent).
+      w.exec_work_left -= elapsed / w.seg_slowdown;
+      // Extra wall time attributable to cold caches.
       w.cache_penalty += elapsed - elapsed / w.seg_slowdown;
       account_exec(w, elapsed);
       return w.exec_work_left <= kEps;

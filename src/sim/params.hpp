@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/topology.hpp"
 #include "core/types.hpp"
@@ -21,14 +20,6 @@ struct SimParams {
   unsigned num_sockets = 2;  ///< cores are split contiguously across sockets
   /// OS round-robin time slice per core (Linux CFS-era granularity).
   double quantum_us = 4000.0;
-  /// Per-core speed factors for asymmetric machines (§4.4 discussion /
-  /// §6 future work): task progress per wall-microsecond on that core.
-  /// Empty (default) = symmetric machine, all cores at 1.0. Since a
-  /// program's home partition is the contiguous block matching its
-  /// registration order, callers realize "compute-bound programs take
-  /// the fast cores" by listing fast cores first and registering the
-  /// compute-bound program first.
-  std::vector<double> core_speeds;
 
   // ---- Runtime operation costs (virtual microseconds) ----
   double pop_cost_us = 0.2;     ///< own-deque pop
@@ -100,9 +91,6 @@ struct SimParams {
   /// contiguously across num_sockets sockets.
   [[nodiscard]] Topology topology() const {
     return Topology::synthetic(num_cores, num_sockets);
-  }
-  [[nodiscard]] double speed_of(CoreId core) const noexcept {
-    return core < core_speeds.size() ? core_speeds[core] : 1.0;
   }
 };
 

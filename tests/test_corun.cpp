@@ -124,11 +124,21 @@ TEST(CoRun, BusyProgramBorrowsIdleProgramsCores) {
   // The idle program's workers sleep and release their home cores.
   ASSERT_TRUE(eventually([&] { return idle.sleeping_workers() == 4; }));
 
-  // The busy program should claim those freed cores under load.
+  // The busy program should claim those freed cores under load. The load
+  // repeats until a claim is seen: on a loaded host one fixed batch can
+  // drain before the coordinator's first step.
   std::atomic<std::int64_t> sum{0};
-  parallel_for_each_index(busy, 0, 100000, 8, [&](std::int64_t i) {
-    sum.fetch_add(spin_work(30) + i, std::memory_order_relaxed);
+  std::atomic<bool> stop{false};
+  std::thread load([&] {
+    do {
+      parallel_for_each_index(busy, 0, 100000, 8, [&](std::int64_t i) {
+        sum.fetch_add(spin_work(30) + i, std::memory_order_relaxed);
+      });
+    } while (!stop.load(std::memory_order_acquire));
   });
+  (void)eventually([&] { return busy.stats().cores_claimed > 0; });
+  stop.store(true, std::memory_order_release);
+  load.join();
   const auto stats = busy.stats();
   EXPECT_GT(stats.cores_claimed, 0u)
       << "busy program never borrowed the idle program's released cores";

@@ -125,6 +125,23 @@ TEST(SchedulerApi, ParallelInvokeRunsAllBranches) {
   EXPECT_EQ(mask.load(), 15);
 }
 
+TEST(SchedulerApi, SpawnAndRunAcceptNamedLambdas) {
+  // An lvalue callable, const or not, is copied into its task.
+  Scheduler sched(make_config(SchedMode::kDws, 2));
+  std::atomic<int> count{0};
+  auto chunk = [&] { count.fetch_add(1); };
+  const auto const_chunk = [&] { count.fetch_add(10); };
+  sched.run(chunk);
+  sched.run(const_chunk);
+  sched.run([&] {
+    TaskGroup group;
+    sched.spawn(group, chunk);
+    sched.spawn(group, const_chunk);
+    sched.wait(group);
+  });
+  EXPECT_EQ(count.load(), 22);
+}
+
 TEST(SchedulerApi, EmptyAndTinyRangesWork) {
   Scheduler sched(make_config(SchedMode::kDws, 2));
   std::atomic<int> count{0};
@@ -383,7 +400,7 @@ TEST(SchedulerDws, FansOutBeforeThePeriod) {
   std::chrono::steady_clock::duration fanout{};
   sched.run([&] {
     TaskGroup group;
-    for (unsigned j = 1; j < kWorkers; ++j) sched.spawn(group, [&] { chunk(); });
+    for (unsigned j = 1; j < kWorkers; ++j) sched.spawn(group, chunk);
     chunk();
     fanout = std::chrono::steady_clock::now() - t0;
     sched.wait(group);
