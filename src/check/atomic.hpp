@@ -162,12 +162,8 @@ class atomic {
     auto& ts = s->state(tid);
     // C++ requires the RMW (and its failure load) to observe the newest
     // value in modification order.
-    const StoreRec& last = hist_.back();
-    if (!(last.value == expected)) {
-      if (failure == std::memory_order_seq_cst) s->sc_sync(ts.clock);
-      if (detail::mo_acquire(failure)) ts.clock.join(last.release);
-      ts.acq_pending.join(last.release);
-      last_seen_[tid] = static_cast<int>(hist_.size()) - 1;
+    if (!(hist_.back().value == expected)) {
+      const StoreRec& last = read_newest(s, ts, tid, failure);
       expected = last.value;
       if (s->trace_enabled()) {
         s->note("atomic", id_, "cas-fail", detail::to_ll(last.value));
@@ -232,6 +228,27 @@ class atomic {
     return old;
   }
 
+  /// Blocks the model thread while the value equals `old`; a blocked thread
+  /// is not runnable until a notify on this object re-enables it. Compares
+  /// the newest store, as a futex does. Outside explore() it returns.
+  void wait(T old, std::memory_order mo = std::memory_order_seq_cst) const {
+    Scheduler* s = current();
+    if (s == nullptr || s->quiescent()) return;
+    for (;;) {
+      s->schedule_point();
+      if (s->aborting()) return;
+      const int tid = s->current_thread();
+      const StoreRec& last = read_newest(s, s->state(tid), tid, mo);
+      if (!(last.value == old)) return;
+      if (s->trace_enabled()) s->note("atomic", id_, "wait", detail::to_ll(old));
+      s->block_on(id_);
+    }
+  }
+
+  /// Re-enable one blocked waiter (the checker explores which) or all.
+  void notify_one() { notify(false); }
+  void notify_all() { notify(true); }
+
  private:
   struct StoreRec {
     T value{};
@@ -256,6 +273,18 @@ class atomic {
     return floor + s->choose_value(n);
   }
 
+  /// A read of the newest store in modification order (a CAS's failure
+  /// load, a wait's compare), with `mo`'s synchronization.
+  const StoreRec& read_newest(Scheduler* s, detail::ThreadState& ts, int tid,
+                              std::memory_order mo) const {
+    const StoreRec& last = hist_.back();
+    if (mo == std::memory_order_seq_cst) s->sc_sync(ts.clock);
+    if (detail::mo_acquire(mo)) ts.clock.join(last.release);
+    ts.acq_pending.join(last.release);
+    last_seen_[tid] = static_cast<int>(hist_.size()) - 1;
+    return last;
+  }
+
   /// Successful-RMW bookkeeping: reads the newest store, appends the new
   /// one continuing the release sequence. Returns the value read.
   T rmw_commit(Scheduler* s, detail::ThreadState& ts, int tid, T desired,
@@ -278,6 +307,13 @@ class atomic {
     hist_.push_back(std::move(r));
     last_seen_[tid] = static_cast<int>(hist_.size()) - 1;
     return last.value;
+  }
+
+  void notify(bool all) {
+    Scheduler* s = current();
+    if (s == nullptr || s->quiescent()) return;
+    s->schedule_point();
+    s->notify(id_, all);
   }
 
   mutable std::vector<StoreRec> hist_;

@@ -56,6 +56,11 @@ void expect(bool cond, const char* msg) {
   throw std::logic_error(msg);
 }
 
+bool ended_blocked(int tid) {
+  Scheduler* s = current();
+  return s != nullptr && tid >= 1 && tid <= kMaxThreads && s->blocked(tid);
+}
+
 void Sim::spawn(std::function<void()> body) {
   sched_->spawn_body(std::move(body));
 }
@@ -134,10 +139,43 @@ void Scheduler::thread_main(int tid) {
   std::unique_lock lk(mu_);
   finished_[tid] = true;
   if (trace_on_) trace_.push_back("T" + std::to_string(tid) + ": exit");
-  const int next = pick_next_locked(tid);
-  active_ = next < 0 ? -2 : next;
-  cv_.notify_all();
+  pass_token_locked(pick_next_locked(tid));
   tls_tid = 0;
+}
+
+void Scheduler::pass_token_locked(int next) {
+  if (next < 0) {
+    // No thread can run: any still blocked in wait unwind, not a failure.
+    for (int i = 1; i <= nthreads_; ++i) abort_ = abort_ || !finished_[i];
+    next = -2;
+  }
+  active_ = next;
+  cv_.notify_all();
+}
+
+void Scheduler::block_on(int obj_id) {
+  std::unique_lock lk(mu_);
+  const int cur = tls_tid;
+  blocked_on_[cur] = obj_id;
+  pass_token_locked(pick_next_locked(cur));
+  cv_.wait(lk, [&] { return active_ == cur || abort_; });
+  if (abort_) {
+    lk.unlock();
+    throw detail::StopExecution{};
+  }
+}
+
+void Scheduler::notify(int obj_id, bool all) {
+  std::unique_lock lk(mu_);
+  int waiters[kMaxThreads];
+  int n = 0;
+  for (int i = 1; i <= nthreads_; ++i) {
+    if (blocked_on_[i] == obj_id) waiters[n++] = i;
+  }
+  const int pick = all ? -1 : choose_value(n);
+  for (int k = 0; k < n; ++k) {
+    if (all || k == pick) blocked_on_[waiters[k]] = 0;
+  }
 }
 
 int Scheduler::pick_next_locked(int cur) {
@@ -145,10 +183,10 @@ int Scheduler::pick_next_locked(int cur) {
   // "no preemption"), then the others by id.
   int cand[kMaxThreads];
   int n = 0;
-  const bool cur_runnable = cur >= 1 && !finished_[cur];
+  const bool cur_runnable = cur >= 1 && !finished_[cur] && !blocked(cur);
   if (cur_runnable) cand[n++] = cur;
   for (int i = 1; i <= nthreads_; ++i) {
-    if (i != cur && !finished_[i]) cand[n++] = i;
+    if (i != cur && !finished_[i] && !blocked(i)) cand[n++] = i;
   }
   if (n == 0) return -1;
   if (n == 1) return cand[0];

@@ -123,6 +123,10 @@ Result explore(const Options& opts, const std::function<void(Sim&)>& setup);
 /// Outside explore() falls back to throwing std::logic_error.
 void expect(bool cond, const char* msg);
 
+/// For on_exit: whether model thread `tid` (1-based, in spawn order) ended
+/// the execution blocked in atomic::wait.
+[[nodiscard]] bool ended_blocked(int tid);
+
 class Scheduler {
  public:
   // ---- Interface used by the instrumented primitives (atomic.hpp) ----
@@ -142,7 +146,16 @@ class Scheduler {
   /// seq_cst synchronization: clock <-> global SC clock, both ways.
   void sc_sync(VectorClock& clock);
 
-  /// True once a failure aborted this execution; instrumented ops then take
+  /// atomic::wait: block the calling thread on `obj_id` until a notify
+  /// re-enables it (throws StopExecution if the execution ends first).
+  void block_on(int obj_id);
+  /// Re-enable one (an explored choice) or all threads blocked on `obj_id`.
+  void notify(int obj_id, bool all);
+  [[nodiscard]] bool blocked(int tid) const noexcept {
+    return blocked_on_[tid] != 0;
+  }
+
+  /// True once this execution ended early; instrumented ops then take
   /// op_guard() and a minimal sequentialized path while threads unwind.
   [[nodiscard]] bool aborting() const noexcept { return abort_; }
   [[nodiscard]] std::unique_lock<std::mutex> op_guard();
@@ -178,6 +191,7 @@ class Scheduler {
   void run_threads();
   void thread_main(int tid);
   int pick_next_locked(int cur);
+  void pass_token_locked(int next);
   int decide(int n, detail::DecisionKind kind, bool preemptive);
   void record_failure_locked(std::string msg);
 
@@ -196,6 +210,7 @@ class Scheduler {
   std::vector<std::thread> os_threads_;
   std::array<detail::ThreadState, kMaxThreads + 1> states_{};
   std::array<bool, kMaxThreads + 1> finished_{};
+  std::array<int, kMaxThreads + 1> blocked_on_{};  // object id; 0 = runnable
   int nthreads_ = 0;
   int object_ids_ = 0;
 

@@ -151,7 +151,7 @@ void Coordinator::step() {
                               .sleeping_workers = sched_.sleeping_workers()};
   // Counted per wake, not from the returned record: a claim or reclaim is
   // counted before its worker wakes, so a stats() reader that has seen
-  // the woken worker's work (through the wake's mutex) also sees it.
+  // the woken worker's work (through the wake's release CAS) also sees it.
   run_coordinator_step(
       driver_.get(), demand, sched_.num_workers(),
       [this](CoreId c, WakeReason why) {

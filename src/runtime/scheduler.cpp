@@ -104,7 +104,8 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
     inbox_tail_ = task;
   }
   // seq_cst, then the state scan below: our half of the Dekker handshake
-  // with Worker::go_to_sleep (publish Sleeping, then re-read this count).
+  // with SleepWord::publish_sleeping (publish Sleeping, then re-read this
+  // count).
   inbox_size_.fetch_add(1, std::memory_order_seq_cst);
   if (prev == 0) {
     // The program was idle: open the gate for non-sleeping modes. In the
@@ -117,6 +118,14 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
     }
     if (coordinator_ && active_workers() == 0) coordinator_->nudge();
   }
+}
+
+void Scheduler::idle_gate_block() {
+  std::unique_lock<std::mutex> lock(gate_m_);
+  gate_cv_.wait(lock, [this] {
+    return total_pending_.load(std::memory_order_acquire) > 0 ||
+           shutdown_requested();
+  });
 }
 
 void Scheduler::execute(TaskBase* task) noexcept {

@@ -216,6 +216,10 @@ class Scheduler {
   [[nodiscard]] bool shutdown_requested() const noexcept {
     return shutdown_.load(std::memory_order_acquire);
   }
+  /// Block the calling worker on the idle gate while the program has no
+  /// work at all (keeps idle schedulers off the CPU without altering
+  /// behaviour while work exists).
+  void idle_gate_block();
 
   Config cfg_;
   Topology topology_;  // immutable after construction; read by all workers

@@ -1,0 +1,94 @@
+// A worker's sleep state (§3.2 sleep, §3.3 wake) as one atomic word: the
+// state in the low two bits, a shutdown token above them. Owners block on
+// the word with C++20 atomic wait / notify (a futex on Linux). It takes the
+// atomics policy so tests/test_check_sleep.cpp model-checks this template;
+// nothing here is noexcept, as the checker unwinds from atomic operations.
+#pragma once
+
+#include <atomic>
+#include <cassert>
+#include <cstdint>
+
+#include "core/atomics_policy.hpp"
+#include "util/layout.hpp"
+
+namespace dws::rt {
+
+enum class SleepState : std::uint32_t {
+  kActive,    ///< running Algorithm 1, or woken and about to
+  kSleeping,  ///< released its core; wakeable by the coordinator
+  kParked,    ///< EP worker on a core its program lacks; never woken
+};
+
+template <typename Policy = StdAtomicsPolicy>
+class SleepWord {
+ public:
+  /// seq_cst: Scheduler::enqueue's scan is its half of the handshake.
+  [[nodiscard]] SleepState state() const { return of(word_.load(kSc)); }
+
+  /// The owner's half of the Dekker handshake with a submitter that bumps
+  /// `inbox` and then reads state(): publish Sleeping, then re-read `inbox`.
+  /// True if a task is queued; `take_back` then makes the owner Active
+  /// again (a wake that landed in the window is spent here).
+  template <typename Count>
+  bool publish_sleeping(const Count& inbox, bool take_back) {
+    enter(SleepState::kSleeping);
+    if (inbox.load(kSc) == 0) return false;
+    if (take_back) (void)leave_sleeping();
+    return true;
+  }
+  /// Block while Sleeping or Parked: until a wake() or shutdown.
+  void block() {
+    auto w = word_.load(std::memory_order_acquire);
+    for (; of(w) != SleepState::kActive && w <= kMask;
+         w = word_.load(std::memory_order_acquire)) {
+      word_.wait(w, std::memory_order_acquire);
+    }
+  }
+  /// EP: stay Parked until shutdown.
+  void park() {
+    enter(SleepState::kParked);
+    block();
+  }
+  /// CAS Sleeping -> Active, then notify. True only if it moved a sleeper,
+  /// so a woken worker counts as Active at once (the simulator's kWaking).
+  bool wake() {
+    if (!leave_sleeping()) return false;
+    word_.notify_one();
+    return true;
+  }
+  /// Bump the token: blocked owners return, and later blocks return at once.
+  void shutdown() {
+    word_.fetch_add(kMask + 1, std::memory_order_acq_rel);
+    word_.notify_all();
+  }
+
+ private:
+  static constexpr std::uint32_t kMask = 3;
+  static constexpr auto kSc = std::memory_order_seq_cst;
+  static SleepState of(std::uint32_t w) {
+    return static_cast<SleepState>(w & kMask);
+  }
+
+  // Only the owner leaves Active, by adding the new state: an RMW, so a
+  // concurrent token bump is never lost.
+  void enter(SleepState s) {
+    [[maybe_unused]] const std::uint32_t old =
+        word_.fetch_add(static_cast<std::uint32_t>(s), kSc);
+    assert(of(old) == SleepState::kActive);
+  }
+  bool leave_sleeping() {
+    std::uint32_t w = word_.load(std::memory_order_relaxed);
+    while (of(w) == SleepState::kSleeping) {
+      if (word_.compare_exchange_weak(w, w & ~kMask, std::memory_order_acq_rel,
+                                      std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  DWS_SHARED typename Policy::template atomic<std::uint32_t> word_{0};
+};
+
+}  // namespace dws::rt

@@ -29,19 +29,6 @@ void Worker::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-bool Worker::wake() noexcept {
-  std::lock_guard<std::mutex> lock(m_);
-  if (state() != State::kSleeping) return false;
-  wake_pending_ = true;
-  cv_.notify_one();
-  return true;
-}
-
-void Worker::notify_shutdown() noexcept {
-  std::lock_guard<std::mutex> lock(m_);
-  cv_.notify_all();
-}
-
 bool Worker::should_vacate() const noexcept {
   // Space-sharing modes: we may only run while the allocation table lists
   // our program as this core's user. If our coordinator lost the core (we
@@ -88,26 +75,14 @@ void Worker::go_to_sleep(bool count_as_eviction) {
 
   // Order matters for the wake protocol: become Sleeping *before*
   // releasing the core, so that a coordinator that wins the freed core is
-  // guaranteed to find a wakeable worker (see DESIGN.md §4.2).
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    state_.store(static_cast<int>(State::kSleeping),
-                 std::memory_order_seq_cst);
-  }
-  // Dekker handshake with Scheduler::enqueue, which skips the coordinator
-  // nudge while it sees an Active worker: it bumps inbox_size_ and then
-  // reads our state, we publish Sleeping and then read inbox_size_, all
-  // seq_cst. So either it saw us Sleeping and nudged, or we see its task.
-  if (sched_.inbox_size_.load(std::memory_order_seq_cst) != 0) {
-    if (!count_as_eviction) {
-      // Keep the core and take the task. A DWS-NC coordinator may have
-      // woken us in the window; that wake is spent here.
-      std::lock_guard<std::mutex> lock(m_);
-      wake_pending_ = false;
-      state_.store(static_cast<int>(State::kActive),
-                   std::memory_order_release);
-      return;
-    }
+  // guaranteed to find a wakeable worker (see DESIGN.md §4.2). The
+  // re-check of the inbox is the sleep word's Dekker handshake with
+  // Scheduler::enqueue, which skips the coordinator nudge while it sees an
+  // Active worker.
+  if (sleep_.publish_sleeping(sched_.inbox_size_,
+                              /*take_back=*/!count_as_eviction)) {
+    // Kept the core to take the task.
+    if (!count_as_eviction) return;
     // An evicted worker cannot keep a core that is no longer ours: hand
     // the task to the coordinator instead.
     if (sched_.coordinator_) sched_.coordinator_->nudge();
@@ -120,24 +95,9 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     // CAS-guarded: fails harmlessly when the core was reclaimed from us.
     sched_.table()->release(id_, sched_.pid());
   }
-  {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [this] {
-      return wake_pending_ || sched_.shutdown_requested();
-    });
-    wake_pending_ = false;
-    state_.store(static_cast<int>(State::kActive), std::memory_order_release);
-  }
+  sleep_.block();
   sched_.sleepers_.fetch_sub(1, std::memory_order_relaxed);
   ++stats_.wakes;
-}
-
-void Worker::idle_gate_block() {
-  std::unique_lock<std::mutex> lock(sched_.gate_m_);
-  sched_.gate_cv_.wait(lock, [this] {
-    return sched_.total_pending_.load(std::memory_order_acquire) > 0 ||
-           sched_.shutdown_requested();
-  });
 }
 
 void Worker::thread_main() {
@@ -154,9 +114,7 @@ void Worker::thread_main() {
   // program already holds; EP never releases a core, so the ones it does
   // hold stay its own.
   if (sched_.mode() == SchedMode::kEp && should_vacate()) {
-    state_.store(static_cast<int>(State::kParked), std::memory_order_release);
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [this] { return sched_.shutdown_requested(); });
+    sleep_.park();
     g_tls_worker = nullptr;
     return;
   }
@@ -189,7 +147,7 @@ void Worker::thread_main() {
     // mechanism and additionally releases the core for co-runners).
     if (!sleeping_mode &&
         sched_.total_pending_.load(std::memory_order_acquire) == 0) {
-      idle_gate_block();
+      sched_.idle_gate_block();
       continue;
     }
 

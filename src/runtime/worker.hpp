@@ -6,15 +6,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 
 #include "core/steal_policy.hpp"
 #include "core/types.hpp"
 #include "core/victim_order.hpp"
 #include "runtime/deque.hpp"
+#include "runtime/sleep_word.hpp"
 #include "runtime/task.hpp"
 #include "runtime/task_pool.hpp"
 #include "util/layout.hpp"
@@ -90,11 +89,7 @@ struct alignas(layout::kCacheLineBytes) WorkerStats {
 
 class Worker {
  public:
-  enum class State : int {
-    kActive = 0,    ///< running the Algorithm-1 loop
-    kSleeping = 1,  ///< released its core; wakeable by the coordinator
-    kParked = 2,    ///< EP worker on a core its program lacks; never woken
-  };
+  using State = SleepState;
 
   /// How long a program's last Active worker keeps searching after
   /// StealPolicy says sleep (DWS, DWS-NC). It must outlast the gap an
@@ -122,18 +117,16 @@ class Worker {
   [[nodiscard]] unsigned id() const noexcept { return id_; }
 
   /// seq_cst: Scheduler::enqueue's scan of the states is its half of the
-  /// sleep handshake (see go_to_sleep).
-  [[nodiscard]] State state() const noexcept {
-    return static_cast<State>(state_.load(std::memory_order_seq_cst));
-  }
+  /// sleep handshake (see SleepWord::publish_sleeping).
+  [[nodiscard]] State state() const noexcept { return sleep_.state(); }
 
   /// Coordinator-side wake. Returns true iff the worker was sleeping and
-  /// has now been signalled (the caller must already have secured the
-  /// worker's core in the allocation table for DWS).
-  bool wake() noexcept;
+  /// is now Active (the caller must already have secured the worker's
+  /// core in the allocation table for DWS).
+  bool wake() noexcept { return sleep_.wake(); }
 
   /// Wake the worker for shutdown regardless of state.
-  void notify_shutdown() noexcept;
+  void notify_shutdown() noexcept { sleep_.shutdown(); }
 
   [[nodiscard]] ChaseLevDeque<TaskBase*>& deque() noexcept { return deque_; }
   [[nodiscard]] std::size_t queue_size() const noexcept {
@@ -165,10 +158,6 @@ class Worker {
   [[nodiscard]] bool lingers(
       std::chrono::steady_clock::time_point& linger_until) const;
   void go_to_sleep(bool count_as_eviction);
-  /// Block on the scheduler's idle gate while the program has no work at
-  /// all (keeps idle schedulers off the CPU without altering behaviour
-  /// while work exists).
-  void idle_gate_block();
 
   Scheduler& sched_;
   const unsigned id_;
@@ -181,17 +170,12 @@ class Worker {
   WorkerStats stats_;               // alignas(64), owner-written only
 
   std::thread thread_;
-  // Wake domain: state_ is CASed/stored by the coordinator and the owner,
-  // and m_/cv_/wake_pending_ move together with it under the sleep/wake
-  // handshake — one sharing domain, isolated on its own line(s) so
-  // coordinator wakes never invalidate stats_ (above) in the owner's
-  // cache. thread_ precedes the alignas boundary: it is written only
-  // before/after the thread runs, so sharing its line is harmless.
-  alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<int> state_{
-      static_cast<int>(State::kActive)};
-  DWS_SHARED std::mutex m_;
-  DWS_SHARED std::condition_variable cv_;
-  DWS_SHARED bool wake_pending_ = false;  // guarded by m_
+  // Wake domain: the sleep word is CASed by the coordinator and the owner,
+  // isolated on its own line so coordinator wakes never invalidate stats_
+  // (above) in the owner's cache. thread_ precedes the alignas boundary:
+  // it is written only before/after the thread runs, so sharing its line
+  // is harmless.
+  alignas(layout::kCacheLineBytes) DWS_SHARED SleepWord<> sleep_;
 };
 
 /// The worker currently executing on this thread (nullptr on external

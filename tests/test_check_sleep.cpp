@@ -1,29 +1,33 @@
-// Model check of the sleep handshake between a program's last searching
-// worker and an external submitter (Worker::go_to_sleep and
-// Scheduler::enqueue).
+// Model check of the worker's sleep word as compiled: the production
+// SleepWord template (src/runtime/sleep_word.hpp) over the checker's
+// instrumented atomics, which model atomic wait / notify.
 //
-// The submitter skips the coordinator nudge while it sees an Active
-// worker, because that worker takes the task from the inbox itself. That
-// is only safe with a Dekker-style handshake:
+// Scenarios:
+//  - Handshake. An external submitter (Scheduler::enqueue: bump the inbox,
+//    scan the states, nudge only if none is Active) against two workers'
+//    last search and handshake (Worker::go_to_sleep). Properties: no
+//    execution ends with a queued task, no Active worker and no nudge,
+//    and a worker that took the task is Active.
+//  - Wake race. Two coordinator wake() calls against a worker that
+//    publishes Sleeping, re-checks and blocks, twice. Properties: no
+//    thread ends blocked on a word that is not Sleeping (no lost wakeup),
+//    and wake() returns true at most once per sleep.
+//  - Shutdown. A parked worker (EP) and a sleeping one against the
+//    scheduler's shutdown: both return.
 //
-//   submitter: inbox += 1 (seq_cst); scan the worker states (seq_cst);
-//              nudge only if none is Active.
-//   worker:    state = Sleeping (seq_cst); re-read the inbox (seq_cst);
-//              non-empty -> back to Active, keep the core, take the task;
-//              empty     -> release the core and sleep.
-//
-// Property: no execution ends with a queued task, no Active worker and no
-// nudge (such a task would wait for the coordinator's next periodic tick).
-// Two seeded faults prove the scenario can see the bug: dropping the
-// worker's re-check, and weakening the handshake to release/acquire
-// (which allows the store-buffering outcome where both sides read stale).
+// Three seeded faults, each injected from here, prove the scenarios can
+// see the bugs: a re-check of a word the submitter never writes, seq_cst
+// weakened to release/acquire, and a notify that does nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "check/check.hpp"
+#include "runtime/sleep_word.hpp"
 
 namespace dws {
 namespace {
@@ -31,83 +35,55 @@ namespace {
 using check::Options;
 using check::Result;
 using check::Sim;
+using rt::SleepState;
+using rt::SleepWord;
 
-constexpr int kActive = 0;
-constexpr int kSleeping = 1;
-constexpr int kWorkers = 2;
+// ---- Fault-injection policies ----
 
-struct Variant {
-  bool recheck = true;
-  std::memory_order store = std::memory_order_seq_cst;  // publishes
-  std::memory_order load = std::memory_order_seq_cst;   // reads back
+template <template <typename> class A>
+struct PolicyOf {
+  template <typename T>
+  using atomic = A<T>;
+  static void fence(std::memory_order mo) { check::fence(mo); }
 };
 
-struct State {
-  check::atomic<int> inbox{0};
-  check::atomic<int> state0{kActive};
-  check::atomic<int> state1{kActive};
-  bool nudged = false;
-  bool ran = false;
+[[nodiscard]] constexpr std::memory_order weaken(std::memory_order mo,
+                                                 std::memory_order to) {
+  return mo == std::memory_order_seq_cst ? to : mo;
+}
 
-  check::atomic<int>& state(int w) { return w == 0 ? state0 : state1; }
+/// Every seq_cst access downgraded: reads to acquire, writes to release,
+/// RMWs to acq_rel. This allows the store-buffering outcome the Dekker
+/// handshake exists to rule out.
+template <typename T>
+struct WeakSeqCstAtomic : check::atomic<T> {
+  using Base = check::atomic<T>;
+  using Base::Base;
+  T load(std::memory_order mo = std::memory_order_seq_cst) const {
+    return Base::load(weaken(mo, std::memory_order_acquire));
+  }
+  T fetch_add(T v, std::memory_order mo = std::memory_order_seq_cst) {
+    return Base::fetch_add(v, weaken(mo, std::memory_order_acq_rel));
+  }
+  bool compare_exchange_weak(T& expected, T desired, std::memory_order ok,
+                             std::memory_order fail) {
+    return Base::compare_exchange_weak(
+        expected, desired, weaken(ok, std::memory_order_acq_rel),
+        weaken(fail, std::memory_order_acquire));
+  }
 };
 
-// One search of the inbox: take the task if one is queued.
-bool try_take(State& st, const Variant& v) {
-  int one = 1;
-  return st.inbox.load(v.load) != 0 &&
-         st.inbox.compare_exchange_strong(one, 0, std::memory_order_acq_rel,
-                                          std::memory_order_acquire);
-}
+/// notify_one / notify_all do nothing: a blocked waiter is never woken.
+template <typename T>
+struct NoNotifyAtomic : check::atomic<T> {
+  using check::atomic<T>::atomic;
+  void notify_one() {}
+  void notify_all() {}
+};
 
-// A worker whose program just ran out of work: one last search, then the
-// sleep handshake. A worker the re-check sends back searches again and
-// retries the handshake; two rounds bound the model.
-void worker(State& st, int w, const Variant& v) {
-  for (int round = 0; round < 2; ++round) {
-    if (try_take(st, v)) {
-      st.ran = true;
-      return;
-    }
-    st.state(w).store(kSleeping, v.store);
-    if (v.recheck && st.inbox.load(v.load) != 0) {
-      st.state(w).store(kActive, std::memory_order_release);
-      continue;
-    }
-    return;  // releases its core and sleeps until the coordinator wakes it
-  }
-}
-
-void submitter(State& st, const Variant& v) {
-  st.inbox.fetch_add(1, v.store);
-  bool someone_active = false;
-  for (int w = 0; w < kWorkers; ++w) {
-    if (st.state(w).load(v.load) == kActive) someone_active = true;
-  }
-  if (!someone_active) st.nudged = true;
-}
-
-auto scenario(Variant v) {
-  return [v](Sim& sim) {
-    auto st = std::make_shared<State>();
-    sim.spawn([st, v] { submitter(*st, v); });
-    for (int w = 0; w < kWorkers; ++w) {
-      sim.spawn([st, v, w] { worker(*st, w, v); });
-    }
-    sim.on_exit([st] {
-      const bool queued = st->inbox.load(std::memory_order_relaxed) != 0;
-      bool someone_active = false;
-      for (int w = 0; w < kWorkers; ++w) {
-        if (st->state(w).load(std::memory_order_relaxed) == kActive) {
-          someone_active = true;
-        }
-      }
-      check::expect(!queued || someone_active || st->nudged,
-                    "task stranded: queued, no Active worker, no nudge");
-      check::expect(!st->ran || !queued, "a taken task is still queued");
-    });
-  };
-}
+using Checked = check::CheckAtomicsPolicy;
+using WeakSeqCst = PolicyOf<WeakSeqCstAtomic>;
+using NoNotify = PolicyOf<NoNotifyAtomic>;
 
 Options exhaustive() {
   Options o;
@@ -116,34 +92,189 @@ Options exhaustive() {
   return o;
 }
 
-void expect_caught(const Variant& v) {
-  const Result r = check::explore(exhaustive(), scenario(v));
-  ASSERT_TRUE(r.failed) << "checker missed the seeded handshake fault";
-  EXPECT_NE(r.message.find("stranded"), std::string::npos) << r.message;
-  EXPECT_FALSE(r.schedule.empty());
+using Scenario = std::function<void(Sim&)>;
 
-  Options replay = exhaustive();
-  replay.replay = r.schedule;
-  const Result again = check::explore(replay, scenario(v));
-  EXPECT_TRUE(again.failed);
-  EXPECT_EQ(again.message, r.message);
-  EXPECT_EQ(again.executions, 1);
-}
-
-TEST(SleepHandshakeCheck, SkippedNudgeNeverStrandsATask) {
-  const Result r = check::explore(exhaustive(), scenario(Variant{}));
+void expect_clean(const Scenario& scenario) {
+  const Result r = check::explore(exhaustive(), scenario);
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
   EXPECT_FALSE(r.truncated);
   EXPECT_GT(r.executions, 1);
 }
 
-TEST(SleepHandshakeCheck, MissingRecheckIsCaught) {
-  expect_caught(Variant{.recheck = false});
+void expect_caught(const Scenario& scenario, const std::string& what) {
+  const Result r = check::explore(exhaustive(), scenario);
+  ASSERT_TRUE(r.failed) << "checker missed the seeded fault";
+  EXPECT_NE(r.message.find(what), std::string::npos) << r.message;
+  EXPECT_FALSE(r.schedule.empty());
+
+  Options replay = exhaustive();
+  replay.replay = r.schedule;
+  const Result again = check::explore(replay, scenario);
+  EXPECT_TRUE(again.failed);
+  EXPECT_EQ(again.message, r.message);
+  EXPECT_EQ(again.executions, 1);
 }
 
-TEST(SleepHandshakeCheck, ReleaseAcquireHandshakeIsCaught) {
-  expect_caught(Variant{.store = std::memory_order_release,
-                        .load = std::memory_order_acquire});
+// ---- Handshake: submitter against two workers ----
+
+constexpr int kWorkers = 2;
+
+template <typename Policy>
+struct Handshake {
+  typename Policy::template atomic<int> inbox{0};
+  typename Policy::template atomic<int> never_written{0};
+  SleepWord<Policy> words[kWorkers];
+  bool nudged = false;
+  bool ran[kWorkers] = {false, false};
+
+  [[nodiscard]] bool someone_active() const {
+    for (const auto& w : words) {
+      if (w.state() == SleepState::kActive) return true;
+    }
+    return false;
+  }
+};
+
+// One search of the inbox (Worker::find_task's poll): take the task if
+// one is queued.
+template <typename Policy>
+bool try_take(Handshake<Policy>& st) {
+  int one = 1;
+  return st.inbox.load(std::memory_order_acquire) != 0 &&
+         st.inbox.compare_exchange_weak(one, 0, std::memory_order_acq_rel,
+                                        std::memory_order_acquire);
+}
+
+// A worker whose program just ran out of work: one last search, then the
+// handshake. A worker the re-check keeps Active searches again and retries;
+// two rounds bound the model.
+template <typename Policy>
+void handshake_worker(Handshake<Policy>& st, int w, bool recheck_inbox) {
+  for (int round = 0; round < 2; ++round) {
+    if (try_take(st)) {
+      st.ran[w] = true;
+      return;
+    }
+    const auto& recheck = recheck_inbox ? st.inbox : st.never_written;
+    if (st.words[w].publish_sleeping(recheck, /*take_back=*/true)) continue;
+    st.words[w].block();  // no waker here: ends blocked
+    return;
+  }
+}
+
+template <typename Policy>
+Scenario handshake(bool recheck_inbox = true) {
+  return [recheck_inbox](Sim& sim) {
+    auto st = std::make_shared<Handshake<Policy>>();
+    sim.spawn([st] {
+      st->inbox.fetch_add(1, std::memory_order_seq_cst);
+      if (!st->someone_active()) st->nudged = true;
+    });
+    for (int w = 0; w < kWorkers; ++w) {
+      sim.spawn([st, w, recheck_inbox] {
+        handshake_worker(*st, w, recheck_inbox);
+      });
+    }
+    sim.on_exit([st] {
+      const bool queued = st->inbox.load(std::memory_order_relaxed) != 0;
+      check::expect(!queued || st->someone_active() || st->nudged,
+                    "task stranded: queued, no Active worker, no nudge");
+      for (int w = 0; w < kWorkers; ++w) {
+        if (!st->ran[w]) continue;
+        check::expect(!queued, "a taken task is still queued");
+        check::expect(st->words[w].state() == SleepState::kActive,
+                      "a worker ran the task while not Active");
+      }
+    });
+  };
+}
+
+// ---- Wake race: two coordinator wakes against one sleeper ----
+
+template <typename Policy>
+struct WakeRace {
+  typename Policy::template atomic<int> inbox{0};  // stays empty
+  SleepWord<Policy> word;
+  int sleeps = 0;
+  int hits[2] = {0, 0};
+};
+
+template <typename Policy>
+Scenario wake_race() {
+  return [](Sim& sim) {
+    auto st = std::make_shared<WakeRace<Policy>>();
+    sim.spawn([st] {  // model thread 1: the worker
+      for (int round = 0; round < 2; ++round) {
+        (void)st->word.publish_sleeping(st->inbox, /*take_back=*/true);
+        ++st->sleeps;
+        st->word.block();
+      }
+    });
+    for (int c = 0; c < 2; ++c) {
+      sim.spawn([st, c] { st->hits[c] += st->word.wake() ? 1 : 0; });
+    }
+    sim.on_exit([st] {
+      check::expect(
+          !check::ended_blocked(1) || st->word.state() == SleepState::kSleeping,
+          "lost wakeup: the worker ended blocked on a word that is Active");
+      check::expect(st->hits[0] + st->hits[1] <= st->sleeps,
+                    "a wake hit a worker that was not asleep");
+    });
+  };
+}
+
+// ---- Shutdown: a parked and a sleeping worker ----
+
+template <typename Policy>
+struct Shutdown {
+  typename Policy::template atomic<int> inbox{0};
+  SleepWord<Policy> parked;
+  SleepWord<Policy> sleeper;
+};
+
+template <typename Policy>
+Scenario shutdown() {
+  return [](Sim& sim) {
+    auto st = std::make_shared<Shutdown<Policy>>();
+    sim.spawn([st] { st->parked.park(); });
+    sim.spawn([st] {
+      (void)st->sleeper.publish_sleeping(st->inbox, /*take_back=*/true);
+      st->sleeper.block();
+    });
+    sim.spawn([st] {
+      st->parked.shutdown();
+      st->sleeper.shutdown();
+    });
+    sim.on_exit([] {
+      check::expect(!check::ended_blocked(1) && !check::ended_blocked(2),
+                    "a worker is still blocked after shutdown");
+    });
+  };
+}
+
+TEST(SleepWordCheck, SkippedNudgeNeverStrandsATask) {
+  expect_clean(handshake<Checked>());
+}
+
+TEST(SleepWordCheck, RecheckOfAnUnwrittenWordIsCaught) {
+  expect_caught(handshake<Checked>(/*recheck_inbox=*/false), "stranded");
+}
+
+TEST(SleepWordCheck, ReleaseAcquireHandshakeIsCaught) {
+  expect_caught(handshake<WeakSeqCst>(), "stranded");
+}
+
+TEST(SleepWordCheck, WakeRacingTheSleeperIsNeverLost) {
+  expect_clean(wake_race<Checked>());
+}
+
+TEST(SleepWordCheck, NoOpNotifyIsCaught) {
+  expect_caught(wake_race<NoNotify>(), "lost wakeup");
+  expect_caught(shutdown<NoNotify>(), "still blocked");
+}
+
+TEST(SleepWordCheck, ShutdownReleasesParkedAndSleepingWorkers) {
+  expect_clean(shutdown<Checked>());
 }
 
 }  // namespace

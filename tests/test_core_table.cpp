@@ -243,8 +243,8 @@ TEST(CoreTableLiveness, RegisteredProgramsTracksRegistrations) {
   CoreTableLocal local(8, 4);
   CoreTable& t = local.table();
   EXPECT_EQ(t.registered_programs(), 0u);
-  t.register_program();
-  t.register_program();
+  (void)t.register_program();
+  (void)t.register_program();
   EXPECT_EQ(t.registered_programs(), 2u);
 }
 

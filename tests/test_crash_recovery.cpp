@@ -333,7 +333,7 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
         for (;;) {
           rt::parallel_for_each_index(sched, 0, 64, 1, [](std::int64_t) {
             volatile std::int64_t acc = 0;
-            for (int i = 0; i < 20000; ++i) acc += i;
+            for (int i = 0; i < 20000; ++i) acc = acc + i;
           });
         }
       });
@@ -399,7 +399,7 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
     std::atomic<int> done{0};
     rt::parallel_for_each_index(sched, 0, 512, 4, [&](std::int64_t) {
       volatile std::int64_t acc = 0;
-      for (int i = 0; i < 2000; ++i) acc += i;
+      for (int i = 0; i < 2000; ++i) acc = acc + i;
       done.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(done.load(), 512);

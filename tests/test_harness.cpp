@@ -20,8 +20,8 @@ TEST(Mixes, AppNamesMatchTable2) {
   EXPECT_STREQ(app_name(6), "Heat");
   EXPECT_STREQ(app_name(7), "SOR");
   EXPECT_STREQ(app_name(8), "Mergesort");
-  EXPECT_THROW(app_name(0), std::out_of_range);
-  EXPECT_THROW(app_name(9), std::out_of_range);
+  EXPECT_THROW((void)app_name(0), std::out_of_range);
+  EXPECT_THROW((void)app_name(9), std::out_of_range);
 }
 
 TEST(Mixes, FigureMixesAreThePapersEight) {

@@ -218,13 +218,13 @@ TEST(CliArgs, MissingKeyReturnsDefault) {
 TEST(CliArgs, MalformedIntThrows) {
   const char* argv[] = {"prog", "--n=12x"};
   CliArgs args(2, argv, {"n"});
-  EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("n", 0), std::invalid_argument);
 }
 
 TEST(CliArgs, MalformedBoolThrows) {
   const char* argv[] = {"prog", "--b=maybe"};
   CliArgs args(2, argv, {"b"});
-  EXPECT_THROW(args.get_bool("b", false), std::invalid_argument);
+  EXPECT_THROW((void)args.get_bool("b", false), std::invalid_argument);
 }
 
 TEST(CliArgs, IntListParses) {

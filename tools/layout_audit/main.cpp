@@ -112,10 +112,7 @@ struct Access {
       DWS_AUDIT_FIELD(pool_, "");
       DWS_AUDIT_FIELD(stats_, "");
       DWS_AUDIT_FIELD(thread_, "");
-      DWS_AUDIT_FIELD(state_, "shared");
-      DWS_AUDIT_FIELD(m_, "shared");
-      DWS_AUDIT_FIELD(cv_, "shared");
-      DWS_AUDIT_FIELD(wake_pending_, "shared");
+      DWS_AUDIT_FIELD(sleep_, "shared");
     }
     {
       DWS_AUDIT_STRUCT(out, dws::CoreTable::Header);
