@@ -18,11 +18,16 @@
 //    release stores carry the storing thread's clock; relaxed stores after
 //    a release fence carry the fence-time clock; acquire fences join the
 //    release clocks of all previously read stores.
-//  - seq_cst operations and fences additionally synchronize through one
-//    global SC clock (joined both ways). This is slightly *stronger* than
-//    C++'s S order, so the checker explores a sound subset of allowed
-//    behaviours: it can miss exotic weak executions but never reports a
-//    failure a correct C++ program could not exhibit.
+//  - seq_cst stores, RMWs and fences additionally synchronize through one
+//    global SC clock (joined both ways); seq_cst loads (a CAS's failure
+//    read and wait's compare too) only acquire from it. So an SC load sees
+//    every SC store and fence before it in the interleaving, but it is no
+//    fence: it does not publish the loading thread's earlier non-SC
+//    stores. This is still slightly *stronger* than C++'s S order (an SC
+//    RMW publishes its thread's whole clock), so the checker explores a
+//    sound subset of allowed behaviours: it can miss exotic weak
+//    executions but never reports a failure a correct C++ program could
+//    not exhibit.
 //  - RMWs read the newest store in modification order (as C++ requires)
 //    and continue its release sequence.
 #pragma once
@@ -101,7 +106,7 @@ class atomic {
     s->schedule_point();
     const int tid = s->current_thread();
     auto& ts = s->state(tid);
-    if (mo == std::memory_order_seq_cst) s->sc_sync(ts.clock);
+    if (mo == std::memory_order_seq_cst) s->sc_acquire(ts.clock);
     const int idx = pick_readable(s, ts, tid);
     const StoreRec& r = hist_[static_cast<std::size_t>(idx)];
     if (idx > last_seen_[tid]) last_seen_[tid] = idx;
@@ -278,7 +283,7 @@ class atomic {
   const StoreRec& read_newest(Scheduler* s, detail::ThreadState& ts, int tid,
                               std::memory_order mo) const {
     const StoreRec& last = hist_.back();
-    if (mo == std::memory_order_seq_cst) s->sc_sync(ts.clock);
+    if (mo == std::memory_order_seq_cst) s->sc_acquire(ts.clock);
     if (detail::mo_acquire(mo)) ts.clock.join(last.release);
     ts.acq_pending.join(last.release);
     last_seen_[tid] = static_cast<int>(hist_.size()) - 1;

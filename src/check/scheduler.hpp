@@ -143,8 +143,10 @@ class Scheduler {
   /// Value decision: pick one of n alternatives (load candidates).
   int choose_value(int n);
 
-  /// seq_cst synchronization: clock <-> global SC clock, both ways.
+  /// seq_cst store, RMW or fence: clock <-> global SC clock, both ways.
   void sc_sync(VectorClock& clock);
+  /// seq_cst load: acquires from the global SC clock, publishes nothing.
+  void sc_acquire(VectorClock& clock) const { clock.join(sc_); }
 
   /// atomic::wait: block the calling thread on `obj_id` until a notify
   /// re-enables it (throws StopExecution if the execution ends first).

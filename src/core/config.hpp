@@ -1,6 +1,6 @@
-// Runtime/simulator configuration knobs, mirroring the parameters the
-// paper exposes: T_SLEEP (§3.2), the coordinator period T (§3.4), the
-// machine width k and co-runner count m (§2).
+// Runtime configuration knobs, mirroring the parameters the paper
+// exposes: the coordinator period T (§3.4), the machine width k and
+// co-runner count m (§2). T_SLEEP is k, as §3.4 recommends.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +21,6 @@ struct Config {
   /// equipartition of the core allocation table. A single program => 1.
   unsigned num_programs = 1;
 
-  /// T_SLEEP: a worker sleeps after this many consecutive failed sweeps.
-  /// -1 selects the paper's recommendation T_SLEEP = k (§3.4, §4.3).
-  int t_sleep = -1;
-
   /// Coordinator wake-up period T in milliseconds (§3.4 suggests 10 ms).
   double coordinator_period_ms = 10.0;
 
@@ -41,11 +37,6 @@ struct Config {
   /// the stale sweep (heartbeats are still published so *other* programs
   /// can track us).
   unsigned stale_after_periods = 5;
-
-  /// Resolved T_SLEEP for a k-core machine.
-  [[nodiscard]] constexpr int effective_t_sleep(unsigned k) const noexcept {
-    return t_sleep >= 0 ? t_sleep : static_cast<int>(k);
-  }
 };
 
 }  // namespace dws

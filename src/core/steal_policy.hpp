@@ -35,7 +35,8 @@ class StealPolicy {
   /// `failed_steals_ >= t_sleep_` keeps firing after saturation.
   static constexpr int kFailedStealsSaturation = 1 << 20;
 
-  /// `t_sleep` is the resolved threshold (Config::effective_t_sleep).
+  /// `t_sleep` is the resolved threshold: k in the runtime (§3.4),
+  /// SimParams::effective_t_sleep in the simulator.
   constexpr StealPolicy(SchedMode mode, int t_sleep) noexcept
       : mode_(mode), t_sleep_(clamp_t_sleep(t_sleep)) {}
 

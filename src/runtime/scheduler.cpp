@@ -58,11 +58,6 @@ Scheduler::Scheduler(const Config& cfg, CoreTable* shared_table) : cfg_(cfg) {
 
 Scheduler::~Scheduler() {
   if (coordinator_) coordinator_->stop();
-  shutdown_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(gate_m_);
-    gate_cv_.notify_all();
-  }
   for (auto& w : workers_) w->notify_shutdown();
   for (auto& w : workers_) w->join();
 
@@ -80,8 +75,10 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::enqueue(TaskBase* task, Worker* w) {
+  // seq_cst, then the wakes below on the 0 -> 1 edge: our half of the idle
+  // handshake (SleepWord::publish_sleeping over this count).
   const std::int64_t prev =
-      total_pending_.fetch_add(1, std::memory_order_acq_rel);
+      total_pending_.fetch_add(1, std::memory_order_seq_cst);
   if (w != nullptr) {
     // Algorithm 1's common case: spawn onto the spawning worker's deque.
     // Its empty -> non-empty edge arms the coordinator's backlog watch
@@ -108,24 +105,17 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
   // count).
   inbox_size_.fetch_add(1, std::memory_order_seq_cst);
   if (prev == 0) {
-    // The program was idle: open the gate for non-sleeping modes. In the
-    // sleeping modes an Active worker (the lingering last searcher) takes
-    // the task from the inbox within microseconds; only a fully asleep
-    // program needs the coordinator's nap cut short.
-    {
-      std::lock_guard<std::mutex> lock(gate_m_);
-      gate_cv_.notify_all();
+    // The program was idle. In the sleeping modes an Active worker (the
+    // lingering last searcher) takes the task from the inbox within
+    // microseconds; only a fully asleep program needs the coordinator's
+    // nap cut short. The other modes wake every worker blocked idle; the
+    // wake's CAS misses Active and Parked ones.
+    if (coordinator_) {
+      if (active_workers() == 0) coordinator_->nudge();
+    } else {
+      for (auto& worker : workers_) (void)worker->wake();
     }
-    if (coordinator_ && active_workers() == 0) coordinator_->nudge();
   }
-}
-
-void Scheduler::idle_gate_block() {
-  std::unique_lock<std::mutex> lock(gate_m_);
-  gate_cv_.wait(lock, [this] {
-    return total_pending_.load(std::memory_order_acquire) > 0 ||
-           shutdown_requested();
-  });
 }
 
 void Scheduler::execute(TaskBase* task) noexcept {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -163,6 +162,7 @@ class Scheduler {
   [[nodiscard]] std::uint64_t queued_tasks() const noexcept;
   /// N_a: workers currently in the Active state.
   [[nodiscard]] unsigned active_workers() const noexcept;
+  /// Workers asleep, or in CLASSIC, ABP and EP blocked idle.
   [[nodiscard]] unsigned sleeping_workers() const noexcept;
 
   [[nodiscard]] SchedulerStats stats() const;
@@ -213,13 +213,6 @@ class Scheduler {
       external_spawns_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  [[nodiscard]] bool shutdown_requested() const noexcept {
-    return shutdown_.load(std::memory_order_acquire);
-  }
-  /// Block the calling worker on the idle gate while the program has no
-  /// work at all (keeps idle schedulers off the CPU without altering
-  /// behaviour while work exists).
-  void idle_gate_block();
 
   Config cfg_;
   Topology topology_;  // immutable after construction; read by all workers
@@ -234,21 +227,19 @@ class Scheduler {
   // thread): an intrusive FIFO through TaskBase::inbox_next, so the cold
   // path allocates nothing beyond the task itself. Line-isolated as one
   // sharing domain: submitters and draining workers write these together,
-  // and none of it should ping-pong with the idle-gate words below.
+  // and none of it should ping-pong with total_pending_ below.
   alignas(layout::kCacheLineBytes) DWS_SHARED std::mutex inbox_m_;
   DWS_SHARED TaskBase* inbox_head_ = nullptr;  // guarded by inbox_m_
   DWS_SHARED TaskBase* inbox_tail_ = nullptr;  // guarded by inbox_m_
   DWS_SHARED std::atomic<std::size_t> inbox_size_{0};
   DWS_SHARED std::atomic<std::uint64_t> external_spawns_{0};
 
-  // Unfinished-task count for the idle gate: workers block here when the
-  // program has no work at all instead of spinning per-policy.
-  // total_pending_ is bumped by every spawn and completion from every
-  // worker — the scheduler's hottest multi-writer word, alone on its line.
+  // Unfinished-task count: in the non-sleeping modes a worker blocks on
+  // its sleep word while this reads 0, and the 0 -> 1 edge wakes it.
+  // Bumped by every spawn and completion from every worker — the
+  // scheduler's hottest multi-writer word, alone on its line.
   alignas(layout::kCacheLineBytes) DWS_SHARED
       std::atomic<std::int64_t> total_pending_{0};
-  alignas(layout::kCacheLineBytes) DWS_SHARED std::mutex gate_m_;
-  DWS_SHARED std::condition_variable gate_cv_;
 
   // Workers past the sleep handshake and blocked, or about to block: a
   // hint for the backlog watch's arm (a stale read costs at most one
@@ -257,13 +248,11 @@ class Scheduler {
   alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<unsigned> sleepers_{
       0};
 
-  // Control words: written rarely (shutdown once), read on worker loops —
-  // keep them off the gate lines so a gate broadcast does not invalidate
-  // every reader.
-  alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<bool> shutdown_{
-      false};
 #ifndef DWS_RACE_DISABLED
-  DWS_SHARED std::atomic<race::ExecHook*> exec_hook_{nullptr};
+  // Written only while quiescent, read on every spawn and wait: kept off
+  // the counters' lines above so their writes do not invalidate it.
+  alignas(layout::kCacheLineBytes) DWS_SHARED
+      std::atomic<race::ExecHook*> exec_hook_{nullptr};
 #endif
 };
 

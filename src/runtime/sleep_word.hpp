@@ -1,8 +1,10 @@
 // A worker's sleep state (§3.2 sleep, §3.3 wake) as one atomic word: the
-// state in the low two bits, a shutdown token above them. Owners block on
-// the word with C++20 atomic wait / notify (a futex on Linux). It takes the
-// atomics policy so tests/test_check_sleep.cpp model-checks this template;
-// nothing here is noexcept, as the checker unwinds from atomic operations.
+// state in the low two bits, a shutdown token above them. It is the only
+// thing an idle worker blocks on, in every mode, and the only shutdown
+// signal. Owners block on the word with C++20 atomic wait / notify (a
+// futex on Linux). It takes the atomics policy so
+// tests/test_check_sleep.cpp model-checks this template; nothing here is
+// noexcept, as the checker unwinds from atomic operations.
 #pragma once
 
 #include <atomic>
@@ -16,7 +18,7 @@ namespace dws::rt {
 
 enum class SleepState : std::uint32_t {
   kActive,    ///< running Algorithm 1, or woken and about to
-  kSleeping,  ///< released its core; wakeable by the coordinator
+  kSleeping,  ///< blocked or about to block; DWS: released its core
   kParked,    ///< EP worker on a core its program lacks; never woken
 };
 
@@ -25,15 +27,20 @@ class SleepWord {
  public:
   /// seq_cst: Scheduler::enqueue's scan is its half of the handshake.
   [[nodiscard]] SleepState state() const { return of(word_.load(kSc)); }
+  /// True once shutdown() ran: the owner's loop ends.
+  [[nodiscard]] bool shut_down() const {
+    return word_.load(std::memory_order_acquire) > kMask;
+  }
 
   /// The owner's half of the Dekker handshake with a submitter that bumps
-  /// `inbox` and then reads state(): publish Sleeping, then re-read `inbox`.
-  /// True if a task is queued; `take_back` then makes the owner Active
-  /// again (a wake that landed in the window is spent here).
+  /// `count` and then reads the state (state() or wake()): publish
+  /// Sleeping, then re-read `count`. True if it is non-zero; `take_back`
+  /// then makes the owner Active again (a wake that landed in the window
+  /// is spent here).
   template <typename Count>
-  bool publish_sleeping(const Count& inbox, bool take_back) {
+  bool publish_sleeping(const Count& count, bool take_back) {
     enter(SleepState::kSleeping);
-    if (inbox.load(kSc) == 0) return false;
+    if (count.load(kSc) == 0) return false;
     if (take_back) (void)leave_sleeping();
     return true;
   }
@@ -77,8 +84,10 @@ class SleepWord {
         word_.fetch_add(static_cast<std::uint32_t>(s), kSc);
     assert(of(old) == SleepState::kActive);
   }
+  // seq_cst first read: in wake() it is the submitter's read of the state
+  // after its bump, the other half of publish_sleeping's handshake.
   bool leave_sleeping() {
-    std::uint32_t w = word_.load(std::memory_order_relaxed);
+    std::uint32_t w = word_.load(kSc);
     while (of(w) == SleepState::kSleeping) {
       if (word_.compare_exchange_weak(w, w & ~kMask, std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {

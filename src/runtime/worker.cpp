@@ -16,8 +16,9 @@ Worker::Worker(Scheduler& sched, unsigned id)
       id_(id),
       rng_(sched.config().seed ^ (0x9E3779B97F4A7C15ULL * (id + 1))),
       victim_order_(sched.topology(), id, sched.config().num_cores),
+      // T_SLEEP = k (§3.4).
       policy_(sched.config().mode,
-              sched.config().effective_t_sleep(sched.config().num_cores)) {}
+              static_cast<int>(sched.config().num_cores)) {}
 
 Worker::~Worker() {
   if (thread_.joinable()) thread_.join();
@@ -123,7 +124,7 @@ void Worker::thread_main() {
   const bool sleeping_mode = mode_sleeps(sched_.mode());
   std::chrono::steady_clock::time_point linger_until{};
 
-  while (!sched_.shutdown_requested()) {
+  while (!sleep_.shut_down()) {
     // DWS: a worker whose core we do not (or no longer) own sleeps until
     // the coordinator secures the core and wakes it. This both realizes
     // the initial equipartition (non-home workers park here at startup)
@@ -142,12 +143,17 @@ void Worker::thread_main() {
     }
 
     // Nothing anywhere. If the program as a whole has no in-flight work,
-    // park on the idle gate instead of burning the core (non-sleeping
+    // block on the sleep word instead of burning the core (non-sleeping
     // modes only: in DWS/DWS-NC the T_SLEEP path below is the idle
-    // mechanism and additionally releases the core for co-runners).
+    // mechanism and additionally releases the core for co-runners). The
+    // re-check of the count is the handshake with Scheduler::enqueue's
+    // wake on its 0 -> 1 edge. No sleep is counted and the core is kept.
     if (!sleeping_mode &&
         sched_.total_pending_.load(std::memory_order_acquire) == 0) {
-      sched_.idle_gate_block();
+      if (!sleep_.publish_sleeping(sched_.total_pending_,
+                                   /*take_back=*/true)) {
+        sleep_.block();
+      }
       continue;
     }
 

@@ -120,9 +120,10 @@ class Worker {
   /// sleep handshake (see SleepWord::publish_sleeping).
   [[nodiscard]] State state() const noexcept { return sleep_.state(); }
 
-  /// Coordinator-side wake. Returns true iff the worker was sleeping and
-  /// is now Active (the caller must already have secured the worker's
-  /// core in the allocation table for DWS).
+  /// Coordinator-side wake, and in the non-sleeping modes the submitter's
+  /// on an idle program. Returns true iff the worker was sleeping and is
+  /// now Active (the caller must already have secured the worker's core
+  /// in the allocation table for DWS).
   bool wake() noexcept { return sleep_.wake(); }
 
   /// Wake the worker for shutdown regardless of state.

@@ -14,10 +14,19 @@
 //    and wake() returns true at most once per sleep.
 //  - Shutdown. A parked worker (EP) and a sleeping one against the
 //    scheduler's shutdown: both return.
+//  - Idle. The non-sleeping modes (CLASSIC, ABP, EP) block on the word
+//    while the program has no unfinished task: an external submitter
+//    (Scheduler::enqueue: bump the count, wake every word on its 0 -> 1
+//    edge) against two workers that check, publish, re-check the count
+//    and block; the task shuts the scheduler down. Properties: no worker
+//    ends blocked while the count is non-zero, and every worker returns.
 //
-// Three seeded faults, each injected from here, prove the scenarios can
+// Four seeded faults, each injected from here, prove the scenarios can
 // see the bugs: a re-check of a word the submitter never writes, seq_cst
-// weakened to release/acquire, and a notify that does nothing.
+// weakened to release/acquire, only the seq_cst RMWs weakened (the
+// re-check load stays seq_cst, so it must not act as a fence), and a
+// notify that does nothing. Outside explore(), a death test keeps the
+// word's own assertion live.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,24 +61,38 @@ struct PolicyOf {
   return mo == std::memory_order_seq_cst ? to : mo;
 }
 
-/// Every seq_cst access downgraded: reads to acquire, writes to release,
-/// RMWs to acq_rel. This allows the store-buffering outcome the Dekker
-/// handshake exists to rule out.
+/// Only the seq_cst RMWs downgraded to acq_rel: Sleeping and the
+/// submitter's bump are published without the SC order, while both
+/// re-reads stay seq_cst. A seq_cst load is no fence, so the
+/// store-buffering outcome is allowed again.
 template <typename T>
-struct WeakSeqCstAtomic : check::atomic<T> {
+struct WeakSeqCstRmwAtomic : check::atomic<T> {
   using Base = check::atomic<T>;
   using Base::Base;
-  T load(std::memory_order mo = std::memory_order_seq_cst) const {
-    return Base::load(weaken(mo, std::memory_order_acquire));
-  }
   T fetch_add(T v, std::memory_order mo = std::memory_order_seq_cst) {
     return Base::fetch_add(v, weaken(mo, std::memory_order_acq_rel));
   }
   bool compare_exchange_weak(T& expected, T desired, std::memory_order ok,
                              std::memory_order fail) {
     return Base::compare_exchange_weak(
-        expected, desired, weaken(ok, std::memory_order_acq_rel),
-        weaken(fail, std::memory_order_acquire));
+        expected, desired, weaken(ok, std::memory_order_acq_rel), fail);
+  }
+};
+
+/// Every seq_cst access downgraded: reads to acquire, writes to release,
+/// RMWs to acq_rel. This allows the store-buffering outcome the Dekker
+/// handshake exists to rule out.
+template <typename T>
+struct WeakSeqCstAtomic : WeakSeqCstRmwAtomic<T> {
+  using Base = WeakSeqCstRmwAtomic<T>;
+  using Base::Base;
+  T load(std::memory_order mo = std::memory_order_seq_cst) const {
+    return Base::load(weaken(mo, std::memory_order_acquire));
+  }
+  bool compare_exchange_weak(T& expected, T desired, std::memory_order ok,
+                             std::memory_order fail) {
+    return Base::compare_exchange_weak(
+        expected, desired, ok, weaken(fail, std::memory_order_acquire));
   }
 };
 
@@ -83,6 +106,7 @@ struct NoNotifyAtomic : check::atomic<T> {
 
 using Checked = check::CheckAtomicsPolicy;
 using WeakSeqCst = PolicyOf<WeakSeqCstAtomic>;
+using WeakSeqCstRmw = PolicyOf<WeakSeqCstRmwAtomic>;
 using NoNotify = PolicyOf<NoNotifyAtomic>;
 
 Options exhaustive() {
@@ -252,6 +276,55 @@ Scenario shutdown() {
   };
 }
 
+// ---- Idle: the non-sleeping modes' block on the unfinished-task count ----
+
+template <typename Policy>
+struct Idle {
+  typename Policy::template atomic<int> pending{0};
+  SleepWord<Policy> words[kWorkers];
+};
+
+// Worker::thread_main in CLASSIC, ABP or EP. The check is the take's CAS,
+// whose failure reads the count as 0; then publish, re-check and block.
+// The task is the program's last: running it drops the count to 0 and
+// shuts the scheduler down, which bounds the model.
+template <typename Policy>
+void idle_worker(Idle<Policy>& st, int w) {
+  SleepWord<Policy>& word = st.words[w];
+  for (;;) {
+    int one = 1;
+    if (st.pending.compare_exchange_weak(one, 0, std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      for (auto& each : st.words) each.shutdown();
+      return;
+    }
+    if (word.publish_sleeping(st.pending, /*take_back=*/true)) continue;
+    word.block();
+    if (word.shut_down()) return;
+  }
+}
+
+template <typename Policy>
+Scenario idle() {
+  return [](Sim& sim) {
+    auto st = std::make_shared<Idle<Policy>>();
+    sim.spawn([st] {  // model thread 1: the submitter
+      if (st->pending.fetch_add(1, std::memory_order_seq_cst) == 0) {
+        for (auto& word : st->words) (void)word.wake();
+      }
+    });
+    for (int w = 0; w < kWorkers; ++w) {
+      sim.spawn([st, w] { idle_worker(*st, w); });
+    }
+    sim.on_exit([st] {
+      const bool blocked = check::ended_blocked(2) || check::ended_blocked(3);
+      check::expect(!blocked || st->pending.load(std::memory_order_relaxed) == 0,
+                    "task stranded: a worker ended blocked while pending");
+      check::expect(!blocked, "a worker is still blocked after shutdown");
+    });
+  };
+}
+
 TEST(SleepWordCheck, SkippedNudgeNeverStrandsATask) {
   expect_clean(handshake<Checked>());
 }
@@ -262,6 +335,10 @@ TEST(SleepWordCheck, RecheckOfAnUnwrittenWordIsCaught) {
 
 TEST(SleepWordCheck, ReleaseAcquireHandshakeIsCaught) {
   expect_caught(handshake<WeakSeqCst>(), "stranded");
+}
+
+TEST(SleepWordCheck, HalfWeakenedHandshakeIsCaught) {
+  expect_caught(handshake<WeakSeqCstRmw>(), "stranded");
 }
 
 TEST(SleepWordCheck, WakeRacingTheSleeperIsNeverLost) {
@@ -275,6 +352,26 @@ TEST(SleepWordCheck, NoOpNotifyIsCaught) {
 
 TEST(SleepWordCheck, ShutdownReleasesParkedAndSleepingWorkers) {
   expect_clean(shutdown<Checked>());
+}
+
+TEST(SleepWordCheck, IdleWorkersNeverStrandATaskAndReturnAtShutdown) {
+  expect_clean(idle<Checked>());
+}
+
+TEST(SleepWordCheck, WeakenedIdleHandshakeIsCaught) {
+  expect_caught(idle<WeakSeqCst>(), "stranded");
+  expect_caught(idle<WeakSeqCstRmw>(), "stranded");
+}
+
+// Only the owner leaves Active: a second publish without a wake in between
+// breaks that, and the word's assertion aborts. Run outside explore(),
+// where the checker's atomics act as plain ones.
+TEST(SleepWordDeathTest, SecondPublishWithoutAWakeAborts) {
+  SleepWord<Checked> word;
+  check::atomic<int> count{0};
+  (void)word.publish_sleeping(count, /*take_back=*/true);
+  EXPECT_DEATH((void)word.publish_sleeping(count, /*take_back=*/true),
+               "kActive");
 }
 
 }  // namespace

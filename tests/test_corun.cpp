@@ -258,7 +258,8 @@ TEST(CoRun, FourEpProgramsKeepDisjointStaticPartitions) {
 TEST(CoRun, EpWorkerParksOnAHomeCoreAnotherProgramHolds) {
   // A squatter (pid 1) holds core 2 before the EP program (pid 2, home
   // cores 2-3) starts, so EP gets only core 3. Its worker 2 must park, not
-  // exit while still reporting Active.
+  // exit while still reporting Active; worker 3, with no work, blocks idle
+  // on its sleep word.
   CoreTableLocal shared(4, 2);
   CoreTable& table = shared.table();
   const ProgramId squatter = table.register_program();
@@ -267,10 +268,12 @@ TEST(CoRun, EpWorkerParksOnAHomeCoreAnotherProgramHolds) {
   Scheduler ep(corun_config(SchedMode::kEp, 4, 2), &table);
   ASSERT_EQ(ep.pid(), 2u);
 
-  EXPECT_TRUE(eventually([&] { return ep.active_workers() == 1; }))
-      << "active_workers() = " << ep.active_workers();
-  EXPECT_EQ(ep.worker_at(2).state(), Worker::State::kParked);
-  EXPECT_EQ(ep.worker_at(3).state(), Worker::State::kActive);
+  EXPECT_TRUE(eventually([&] {
+    return ep.worker_at(2).state() == Worker::State::kParked &&
+           ep.worker_at(3).state() == Worker::State::kSleeping;
+  }));
+  // The parked workers count as neither Active nor Sleeping.
+  EXPECT_EQ(ep.active_workers() + ep.sleeping_workers(), 1u);
 
   std::atomic<int> count{0};
   parallel_for_each_index(ep, 0, 500, 8, [&](std::int64_t) {

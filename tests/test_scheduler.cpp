@@ -488,6 +488,55 @@ TEST(SchedulerDwsNc, SecondWakeOfAWokenWorkerMisses) {
   FAIL() << "the woken worker fell asleep again between every pair of wakes";
 }
 
+// CLASSIC, ABP and EP block idle on the worker's sleep word, as DWS
+// sleeps do, but count no sleep and release no core; the submitter's
+// 0 -> 1 edge wakes them.
+class SchedulerIdle : public ::testing::TestWithParam<SchedMode> {};
+
+TEST_P(SchedulerIdle, NonSleepingModesBlockOnTheWordAndWakeForExternalWork) {
+  Scheduler sched(make_config(GetParam(), 4));
+  // Every worker that is not parked is Sleeping.
+  const auto fully_idle = [&] {
+    for (unsigned i = 0; i < sched.num_workers(); ++i) {
+      const Worker::State s = sched.worker_at(i).state();
+      if (s != Worker::State::kSleeping && s != Worker::State::kParked) {
+        return false;
+      }
+    }
+    return sched.active_workers() == 0;
+  };
+  ASSERT_TRUE(eventually(fully_idle));
+  constexpr std::int64_t kN = 64;
+  std::atomic<std::int64_t> count{0};
+  for (int rep = 1; rep <= 200; ++rep) {
+    // run(), spelled out so that a lost wake fails the test instead of
+    // hanging it: the waker of last resort is the test itself.
+    TaskGroup root;
+    sched.spawn(root, [&] {
+      parallel_for(sched, 0, kN, 4, [&](std::int64_t b, std::int64_t e) {
+        count.fetch_add(e - b, std::memory_order_relaxed);
+      });
+    });
+    const bool ran = eventually([&] { return count.load() == rep * kN; });
+    if (!ran) {
+      for (unsigned i = 0; i < sched.num_workers(); ++i) {
+        (void)sched.worker_at(i).wake();
+      }
+    }
+    sched.wait(root);
+    ASSERT_TRUE(ran) << "the submission woke no worker, rep " << rep;
+    ASSERT_TRUE(eventually(fully_idle)) << "rep " << rep;
+  }
+  EXPECT_EQ(sched.stats().totals.sleeps, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(NonSleepingModes, SchedulerIdle,
+                         ::testing::Values(SchedMode::kClassic,
+                                           SchedMode::kAbp, SchedMode::kEp),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
 TEST(SchedulerClassic, NoYieldsNoSleeps) {
   Scheduler sched(make_config(SchedMode::kClassic, 2));
   sched.run([&] { (void)parallel_fib(sched, 12); });

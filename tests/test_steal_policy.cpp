@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "core/config.hpp"
 #include "core/steal_policy.hpp"
 
 namespace dws {
@@ -112,17 +111,6 @@ TEST(StealPolicy, TSleepOneAlsoSleepsOnFirstFailure) {
   // comparison the first failure already meets the threshold.
   StealPolicy p(SchedMode::kDws, 1);
   EXPECT_EQ(p.on_steal_failed(), StealOutcome::kSleep);
-}
-
-TEST(ConfigTSleep, DefaultsToMachineWidth) {
-  Config cfg;
-  cfg.t_sleep = -1;
-  EXPECT_EQ(cfg.effective_t_sleep(16), 16);
-  EXPECT_EQ(cfg.effective_t_sleep(4), 4);
-  cfg.t_sleep = 32;
-  EXPECT_EQ(cfg.effective_t_sleep(16), 32);
-  cfg.t_sleep = 0;
-  EXPECT_EQ(cfg.effective_t_sleep(16), 0);
 }
 
 TEST(SchedModeNames, RoundTrip) {

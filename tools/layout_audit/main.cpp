@@ -148,10 +148,7 @@ struct Access {
       DWS_AUDIT_FIELD(inbox_size_, "shared");
       DWS_AUDIT_FIELD(external_spawns_, "shared");
       DWS_AUDIT_FIELD(total_pending_, "shared");
-      DWS_AUDIT_FIELD(gate_m_, "shared");
-      DWS_AUDIT_FIELD(gate_cv_, "shared");
       DWS_AUDIT_FIELD(sleepers_, "shared");
-      DWS_AUDIT_FIELD(shutdown_, "shared");
 #ifndef DWS_RACE_DISABLED
       DWS_AUDIT_FIELD(exec_hook_, "shared");
 #endif
