@@ -18,9 +18,13 @@
 # no git metadata), and each side builds into its own build-bench/.
 # Runs land in build-bench/pairs/<rev>-<workload>/runs-{parent,change}/.
 # After the diff it prints, per kernel and side, the median over seeds of
-# run_ms_p50, serial_ms, speedup (serial_ms / run_ms_p50) and cpu_ms (the
-# cell's CPU time per run, all its programs together), read from the
-# result files' cells[] and cells[].programs[].
+# run_ms_p50, serial_ms, speedup (serial_ms / run_ms_p50), cpu_ms (the
+# cell's CPU time per run, all its programs together), busy (cpu_ms /
+# run_ms_p50: the cores the run kept busy on average, so ~1 means it ran
+# on one core) and cpu/serial (cpu_ms / serial_ms: the CPU it paid per
+# unit of serial work), read from the result files' cells[] and
+# cells[].programs[]. A kernel that fanned out shows speedup rising with
+# busy; one that only paid CPU shows busy and cpu/serial rising alone.
 # Exits with compare.py's status: 1 on a regression or a failed run.
 set -euo pipefail
 
@@ -91,17 +95,20 @@ for side, d in (("parent", sys.argv[1]), ("change", sys.argv[2])):
                     continue  # sim-fig4 cells have no serial reference
                 key = p["kernel"] if cell["name"] == p["kernel"] else \
                     f"{cell['name']}:{p['kernel']}"
+                cpu = cell["cpu_ms_per_run"]
                 rows.setdefault(key, {}).setdefault(side, []).append(
-                    (run, serial, serial / run, cell["cpu_ms_per_run"]))
+                    (run, serial, serial / run, cpu, cpu / run, cpu / serial))
 if rows:
     print(f"\n{'kernel':<24} {'side':<7} {'seeds':>5} {'run_ms_p50':>11}"
-          f" {'serial_ms':>10} {'speedup':>8} {'cpu_ms':>9}")
+          f" {'serial_ms':>10} {'speedup':>8} {'cpu_ms':>9} {'busy':>6}"
+          f" {'cpu/serial':>10}")
 for key, sides in rows.items():
     for side in ("parent", "change"):
         v = sides.get(side, [])
         if v:
-            med = [statistics.median(x[i] for x in v) for i in range(4)]
+            med = [statistics.median(x[i] for x in v) for i in range(6)]
             print(f"{key:<24} {side:<7} {len(v):>5} {med[0]:>11.3f}"
-                  f" {med[1]:>10.3f} {med[2]:>8.3f} {med[3]:>9.3f}")
+                  f" {med[1]:>10.3f} {med[2]:>8.3f} {med[3]:>9.3f}"
+                  f" {med[4]:>6.2f} {med[5]:>10.3f}")
 PY
 exit "$status"

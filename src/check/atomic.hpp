@@ -18,16 +18,18 @@
 //    release stores carry the storing thread's clock; relaxed stores after
 //    a release fence carry the fence-time clock; acquire fences join the
 //    release clocks of all previously read stores.
-//  - seq_cst stores, RMWs and fences additionally synchronize through one
-//    global SC clock (joined both ways); seq_cst loads (a CAS's failure
-//    read and wait's compare too) only acquire from it. So an SC load sees
-//    every SC store and fence before it in the interleaving, but it is no
-//    fence: it does not publish the loading thread's earlier non-SC
-//    stores. This is still slightly *stronger* than C++'s S order (an SC
-//    RMW publishes its thread's whole clock), so the checker explores a
-//    sound subset of allowed behaviours: it can miss exotic weak
-//    executions but never reports a failure a correct C++ program could
-//    not exhibit.
+//  - seq_cst accesses additionally synchronize through one global SC
+//    clock. Fences join it both ways; stores and RMWs only publish into
+//    it; loads (a CAS's failure read and wait's compare too) only acquire
+//    from it. So an SC load sees every SC store, RMW and fence before it
+//    in the interleaving, but neither an SC load nor an SC store or RMW
+//    is a fence: an SC RMW does not make another thread's earlier SC
+//    store visible to its thread's later relaxed loads. This is still
+//    slightly *stronger* than C++'s S order (an SC store publishes its
+//    thread's whole clock, where C++ orders only SC accesses), so the
+//    checker explores a sound subset of allowed behaviours: it can miss
+//    exotic weak executions but never reports a failure a correct C++
+//    program could not exhibit.
 //  - RMWs read the newest store in modification order (as C++ requires)
 //    and continue its release sequence.
 #pragma once
@@ -133,7 +135,7 @@ class atomic {
     const int tid = s->current_thread();
     auto& ts = s->state(tid);
     ts.clock.c[tid]++;
-    if (mo == std::memory_order_seq_cst) s->sc_sync(ts.clock);
+    if (mo == std::memory_order_seq_cst) s->sc_release(ts.clock);
     StoreRec r;
     r.value = v;
     r.tid = tid;
@@ -296,7 +298,7 @@ class atomic {
                std::memory_order mo) {
     const StoreRec last = hist_.back();  // copy: push_back invalidates refs
     ts.clock.c[tid]++;
-    if (mo == std::memory_order_seq_cst) s->sc_sync(ts.clock);
+    if (mo == std::memory_order_seq_cst) s->sc_release(ts.clock);
     if (detail::mo_acquire(mo)) ts.clock.join(last.release);
     ts.acq_pending.join(last.release);
     StoreRec r;

@@ -143,8 +143,11 @@ class Scheduler {
   /// Value decision: pick one of n alternatives (load candidates).
   int choose_value(int n);
 
-  /// seq_cst store, RMW or fence: clock <-> global SC clock, both ways.
+  /// seq_cst fence: clock <-> global SC clock, both ways.
   void sc_sync(VectorClock& clock);
+  /// seq_cst store or RMW: publishes into the global SC clock, acquires
+  /// nothing from it.
+  void sc_release(const VectorClock& clock) { sc_.join(clock); }
   /// seq_cst load: acquires from the global SC clock, publishes nothing.
   void sc_acquire(VectorClock& clock) const { clock.join(sc_); }
 

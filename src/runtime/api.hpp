@@ -189,18 +189,23 @@ void parallel_for(Scheduler& sched, std::int64_t begin, std::int64_t end,
     return;
   }
   TaskGroup group;
-  // Run the splitter itself inside the scheduler so that spawns land on a
-  // worker deque even when the caller is an external thread.
+  // The splitter's spawns must land on a worker deque: a worker of `sched`
+  // runs it inline, an external thread inside a root task.
   //
   // Exception safety: tasks already spawned into `group` hold references
-  // to `group` and `body`; if the root rethrows (the caller's body threw
-  // on the root's own descend path), those tasks must be drained before
-  // this frame unwinds. The first exception wins; drain-time exceptions
-  // are already captured in `group` and superseded.
+  // to `group` and `body`; if the splitter throws (the caller's body threw
+  // on its own descend path), those tasks must be drained before this
+  // frame unwinds. The first exception wins; drain-time exceptions are
+  // already captured in `group` and superseded.
   try {
-    sched.run([&sched, &group, begin, end, grain, &body] {
+    auto split = [&sched, &group, begin, end, grain, &body] {
       detail::parallel_for_split(sched, group, begin, end, grain, body);
-    });
+    };
+    if (sched.on_worker_thread()) {
+      split();
+    } else {
+      sched.run(split);
+    }
   } catch (...) {
     try {
       sched.wait(group);
@@ -227,7 +232,12 @@ template <typename... Fs>
 void parallel_invoke(Scheduler& sched, Fs&&... fs) {
   TaskGroup group;
   try {
-    sched.run([&] { (sched.spawn(group, std::forward<Fs>(fs)), ...); });
+    auto spawn_all = [&] { (sched.spawn(group, std::forward<Fs>(fs)), ...); };
+    if (sched.on_worker_thread()) {
+      spawn_all();
+    } else {
+      sched.run(spawn_all);
+    }
   } catch (...) {
     try {
       sched.wait(group);

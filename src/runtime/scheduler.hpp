@@ -146,6 +146,12 @@ class Scheduler {
 
   // ---- Introspection ----
 
+  /// True when the calling thread is one of this scheduler's workers.
+  [[nodiscard]] bool on_worker_thread() const noexcept {
+    const Worker* w = current_worker();
+    return w != nullptr && &w->sched_ == this;
+  }
+
   [[nodiscard]] unsigned num_workers() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }

@@ -61,14 +61,11 @@ TaskBase* Worker::find_task() {
   return stolen;
 }
 
-bool Worker::lingers(
-    std::chrono::steady_clock::time_point& linger_until) const {
-  if (sched_.active_workers() != 1) return false;
-  const auto now = std::chrono::steady_clock::now();
-  if (linger_until == std::chrono::steady_clock::time_point{}) {
-    linger_until = now + kLinger;
+bool Worker::lingers() const {
+  if (ran_dry_ - busy_since_ < kWakeCost && sched_.active_workers() != 1) {
+    return false;
   }
-  return now < linger_until;
+  return std::chrono::steady_clock::now() - ran_dry_ < kLinger;
 }
 
 void Worker::go_to_sleep(bool count_as_eviction) {
@@ -122,7 +119,6 @@ void Worker::thread_main() {
 
   const bool space_sharing = mode_space_shares(sched_.mode());
   const bool sleeping_mode = mode_sleeps(sched_.mode());
-  std::chrono::steady_clock::time_point linger_until{};
 
   while (!sleep_.shut_down()) {
     // DWS: a worker whose core we do not (or no longer) own sleeps until
@@ -136,11 +132,15 @@ void Worker::thread_main() {
 
     if (TaskBase* t = find_task()) {
       policy_.on_task_acquired();
-      linger_until = {};
+      if (ran_dry_ >= busy_since_) {
+        busy_since_ = std::chrono::steady_clock::now();
+      }
       ++stats_.tasks_executed;
       sched_.execute(t);
       continue;
     }
+
+    if (busy_since_ > ran_dry_) ran_dry_ = std::chrono::steady_clock::now();
 
     // Nothing anywhere. If the program as a whole has no in-flight work,
     // block on the sleep word instead of burning the core (non-sleeping
@@ -170,15 +170,15 @@ void Worker::thread_main() {
         std::this_thread::yield();
         break;
       case StealOutcome::kSleep:
-        // The program's last Active worker keeps searching through a
+        // Spin, then block: the program's last Active worker, and one
+        // whose busy stretch paid for a wake, keep searching through a
         // short gap (kLinger), so the next phase or external run() finds
         // a core held and a searcher ready; everyone else sleeps now.
-        if (lingers(linger_until)) {
+        if (lingers()) {
           ++stats_.yields;
           std::this_thread::yield();
           break;
         }
-        linger_until = {};
         go_to_sleep(/*count_as_eviction=*/false);
         break;
     }

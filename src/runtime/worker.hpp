@@ -91,17 +91,28 @@ class Worker {
  public:
   using State = SleepState;
 
-  /// How long a program's last Active worker keeps searching after
-  /// StealPolicy says sleep (DWS, DWS-NC). It must outlast the gap an
-  /// external driver leaves between two `Scheduler::run()` calls, which is
-  /// part of one round trip: dws-bench's ledger puts that round trip at
-  /// 66-134 µs at p99 (`external_run_us_p99`, 4-vCPU Xeon). The Table-2
-  /// kernels run their phases inside one root task, so their phase gaps
-  /// are joins on a worker; the linger covers the gaps between two kernel
-  /// runs instead of paying sleep, coordinator nudge and wake per run,
-  /// while an idle program still frees its last core about 200 µs after
-  /// its work ends.
+  /// How long a worker keeps searching after it ran dry once StealPolicy
+  /// says sleep (DWS, DWS-NC), when it is its program's last Active
+  /// worker or its last busy stretch lasted at least kWakeCost (see
+  /// lingers()). It must outlast the gap an external driver leaves
+  /// between two `Scheduler::run()` calls, which is part of one round
+  /// trip: dws-bench's ledger puts that round trip at 66-134 µs at p99
+  /// (`external_run_us_p99`, 4-vCPU Xeon). It also outlasts the join and
+  /// serial step between two phases of a Table-2 kernel, so a thief that
+  /// paid for its wake takes the next phase instead of sleeping through
+  /// it, while an idle program still frees its last core about 200 µs
+  /// after its work ends.
   static constexpr std::chrono::microseconds kLinger{200};
+  /// One sleep/wake cycle of a DWS worker on the 4-vCPU Xeon host: from a
+  /// submission to a fully asleep program (nudge, coordinator step, claim,
+  /// wake) to its task running took 37-44 µs at p50 and 44-51 µs on
+  /// average over 1,000 samples (EXPERIMENTS.md, "Real threads: workers
+  /// that paid linger"). A busy stretch at least this long earned the
+  /// wake it would cost to bring the worker back, so it lingers: the
+  /// spin-then-block break-even of Karlin et al. (SOSP 1991). A shorter
+  /// one sleeps on the T_SLEEP-th failure. Probes at 30 and 80 µs traded
+  /// `solo-phased` CPU against Heat, SOR and PNN fan-out (same section).
+  static constexpr std::chrono::microseconds kWakeCost{50};
 
   Worker(Scheduler& sched, unsigned id);
   Worker(const Worker&) = delete;
@@ -153,11 +164,10 @@ class Worker {
   /// the allocation table no longer lists our program as the core's user.
   [[nodiscard]] bool should_vacate() const noexcept;
   /// The kSleep path of the loop: true while this worker should keep
-  /// searching instead — it is its program's only Active worker and has
-  /// lingered less than kLinger since `linger_until` was armed (armed on
-  /// the first call, cleared by the caller when a task turns up).
-  [[nodiscard]] bool lingers(
-      std::chrono::steady_clock::time_point& linger_until) const;
+  /// searching instead. It does for up to kLinger after it ran dry, if it
+  /// is its program's only Active worker or its last busy stretch
+  /// (busy_since_ to ran_dry_) lasted at least kWakeCost.
+  [[nodiscard]] bool lingers() const;
   void go_to_sleep(bool count_as_eviction);
 
   Scheduler& sched_;
@@ -171,6 +181,13 @@ class Worker {
   WorkerStats stats_;               // alignas(64), owner-written only
 
   std::thread thread_;
+  // The last busy stretch: from the task taken after being idle to the
+  // next failed sweep. Idle while ran_dry_ >= busy_since_ (both start at
+  // the epoch), so the clock is read once per idle <-> busy transition.
+  // They fill thread_'s line, which no other thread writes while this
+  // one runs.
+  DWS_OWNED_BY(worker) std::chrono::steady_clock::time_point busy_since_{};
+  DWS_OWNED_BY(worker) std::chrono::steady_clock::time_point ran_dry_{};
   // Wake domain: the sleep word is CASed by the coordinator and the owner,
   // isolated on its own line so coordinator wakes never invalidate stats_
   // (above) in the owner's cache. thread_ precedes the alignas boundary:

@@ -21,12 +21,13 @@
 //    and block; the task shuts the scheduler down. Properties: no worker
 //    ends blocked while the count is non-zero, and every worker returns.
 //
-// Four seeded faults, each injected from here, prove the scenarios can
+// Five seeded faults, each injected from here, prove the scenarios can
 // see the bugs: a re-check of a word the submitter never writes, seq_cst
 // weakened to release/acquire, only the seq_cst RMWs weakened (the
-// re-check load stays seq_cst, so it must not act as a fence), and a
-// notify that does nothing. Outside explore(), a death test keeps the
-// word's own assertion live.
+// re-check load stays seq_cst, so it must not act as a fence), the
+// word's seq_cst loads made relaxed (the submitter's seq_cst bump must
+// not act as a fence either), and a notify that does nothing. Outside
+// explore(), a death test keeps the word's own assertion live.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "check/check.hpp"
 #include "runtime/sleep_word.hpp"
@@ -96,6 +98,23 @@ struct WeakSeqCstAtomic : WeakSeqCstRmwAtomic<T> {
   }
 };
 
+/// The word's seq_cst loads made relaxed, and no other access: the word is
+/// the only 32-bit atomic in these scenarios. In wake() this is the
+/// submitter's read of the state after its seq_cst bump, which C++ lets
+/// miss a Sleeping worker published just before (store buffering), so the
+/// sleeper is never woken.
+template <typename T>
+struct RelaxedWordLoadAtomic : check::atomic<T> {
+  using Base = check::atomic<T>;
+  using Base::Base;
+  T load(std::memory_order mo = std::memory_order_seq_cst) const {
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      mo = weaken(mo, std::memory_order_relaxed);
+    }
+    return Base::load(mo);
+  }
+};
+
 /// notify_one / notify_all do nothing: a blocked waiter is never woken.
 template <typename T>
 struct NoNotifyAtomic : check::atomic<T> {
@@ -108,6 +127,7 @@ using Checked = check::CheckAtomicsPolicy;
 using WeakSeqCst = PolicyOf<WeakSeqCstAtomic>;
 using WeakSeqCstRmw = PolicyOf<WeakSeqCstRmwAtomic>;
 using NoNotify = PolicyOf<NoNotifyAtomic>;
+using RelaxedWordLoad = PolicyOf<RelaxedWordLoadAtomic>;
 
 Options exhaustive() {
   Options o;
@@ -361,6 +381,12 @@ TEST(SleepWordCheck, IdleWorkersNeverStrandATaskAndReturnAtShutdown) {
 TEST(SleepWordCheck, WeakenedIdleHandshakeIsCaught) {
   expect_caught(idle<WeakSeqCst>(), "stranded");
   expect_caught(idle<WeakSeqCstRmw>(), "stranded");
+}
+
+TEST(SleepWordCheck, RelaxedWakeReadIsCaught) {
+  // The submitter's seq_cst bump must not act as a fence for wake()'s
+  // relaxed read of the word.
+  expect_caught(idle<RelaxedWordLoad>(), "stranded");
 }
 
 // Only the owner leaves Active: a second publish without a wake in between

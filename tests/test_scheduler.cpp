@@ -6,6 +6,7 @@
 // functional correctness (which is core-count independent), not speedup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -451,6 +452,134 @@ TEST(SchedulerDws, PhasesShorterThanTheBacklogAgeWakeAlmostNoOne) {
   EXPECT_LE(wakes, 1 + (kWorkers - 1) * steps)
       << "run took " << std::chrono::duration<double, std::milli>(wall).count()
       << " ms";
+}
+
+// Spin the calling thread for `d` (a task's or a serial step's work).
+void spin_for(std::chrono::steady_clock::duration d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// Inside a root task: 2k chunks that each spin until all k workers have
+// run one and then for two kWakeCost more, so every worker is awake and
+// has just finished a busy stretch that paid for a wake. The chunks a
+// worker is not yet running stay queued, at least one per Active worker,
+// so every coordinator step keeps waking sleepers (Eq. 1).
+void fan_out(Scheduler& sched) {
+  const unsigned all = (1u << sched.num_workers()) - 1;
+  std::atomic<unsigned> seen{0};
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  auto chunk = [&] {
+    seen.fetch_or(1u << current_worker()->id());
+    while (seen.load() != all && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    spin_for(2 * Worker::kWakeCost);
+  };
+  TaskGroup group;
+  for (unsigned j = 1; j < 2 * sched.num_workers(); ++j) {
+    sched.spawn(group, chunk);
+  }
+  chunk();
+  sched.wait(group);
+}
+
+TEST(SchedulerDws, WorkersThatPaidStayAcrossShortJoins) {
+  // P phases of k tasks, each two kWakeCost long (and half kLinger, so a
+  // thief that waits out a task of another still lingers into the next
+  // phase), separated by help-first joins; the root nudges the coordinator
+  // after each spawn, as the backlog watch would for a longer phase, so a
+  // sleeping thief is woken for every phase. A thief's busy stretch (its
+  // task) pays for a wake, so it lingers through the join and takes the
+  // next phase's task instead of sleeping at every phase tail, as it
+  // would if only the last Active worker lingered (164-297 sleeps here).
+  // A thief sleeps only when its linger runs out: at most once each, plus
+  // a small slack.
+  //
+  // Only a loop the thieves took part in shows the rule: when the host
+  // lends the cores elsewhere, the coordinator misses most nudges and the
+  // root runs every phase alone. Such a loop is retried, a loop a
+  // descheduled root stretched past the linger too, up to five times.
+  constexpr unsigned kWorkers = 4;
+  constexpr int kPhases = 100;
+  constexpr std::uint64_t kSpawned = kPhases * (kWorkers - 1);
+  constexpr std::uint64_t kBound = kWorkers - 1 + kPhases / 10;
+  static constexpr auto kTask = 2 * Worker::kWakeCost;
+  static_assert(2 * kTask <= Worker::kLinger);
+  Config cfg = make_config(SchedMode::kDws, kWorkers);
+  cfg.coordinator_period_ms = 60000.0;
+  Scheduler sched(cfg);
+  std::uint64_t fewest = ~std::uint64_t{0};
+  int joined = 0;
+  for (int attempt = 0; attempt < 5 && fewest > kBound; ++attempt) {
+    std::uint64_t sleeps = 0;
+    std::uint64_t stolen = 0;
+    sched.run([&] {
+      const unsigned root = current_worker()->id();
+      const SchedulerStats before = sched.stats();
+      for (int p = 0; p < kPhases; ++p) {
+        TaskGroup group;
+        for (unsigned j = 1; j < kWorkers; ++j) {
+          sched.spawn(group, [] { spin_for(kTask); });
+        }
+        sched.coordinator()->nudge();
+        spin_for(kTask);
+        sched.wait(group);
+      }
+      const SchedulerStats after = sched.stats();
+      sleeps = after.totals.sleeps - before.totals.sleeps;
+      for (unsigned i = 0; i < kWorkers; ++i) {
+        if (i == root) continue;
+        stolen += after.per_worker[i].tasks_executed -
+                  before.per_worker[i].tasks_executed;
+      }
+    });
+    if (2 * stolen < kSpawned) continue;
+    ++joined;
+    fewest = std::min(fewest, sleeps);
+  }
+  if (joined == 0) {
+    GTEST_SKIP() << "the thieves ran under half the tasks in every loop: "
+                    "the host did not give the program its cores";
+  }
+  EXPECT_LE(fewest, kBound);
+}
+
+TEST(SchedulerDws, ShortStretchesStillSleepAtOnce) {
+  // Phases of k - 1 empty tasks with a short serial step between them: a
+  // thief's busy stretch (one empty task) is far under kWakeCost, so it
+  // sleeps on its T_SLEEP-th failure and stays asleep until a period's
+  // step wakes it for a moment. Were it to linger instead, it would find
+  // the next phase's task within the linger every time and stay Active.
+  // Each of three rounds starts with the thieves awake (they just ran the
+  // fan-out's long chunks, so each may linger once); the root's worker
+  // stays Active, so none of them is the program's last Active worker.
+  // Over the second half of each round, the root samples whether a thief
+  // is Active.
+  constexpr unsigned kWorkers = 4;
+  Scheduler sched(make_config(SchedMode::kDws, kWorkers));
+  for (int round = 0; round < 3; ++round) {
+    int samples = 0;
+    int crowded = 0;
+    sched.run([&] {
+      fan_out(sched);
+      const auto start = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() < start + 30ms) {
+        TaskGroup group;
+        for (unsigned j = 1; j < kWorkers; ++j) sched.spawn(group, [] {});
+        sched.wait(group);
+        spin_for(Worker::kWakeCost / 6);
+        if (std::chrono::steady_clock::now() > start + 15ms) {
+          ++samples;
+          if (sched.active_workers() > 1) ++crowded;
+        }
+      }
+    });
+    EXPECT_LT(2 * crowded, samples)
+        << "round " << round << ": " << crowded << " of " << samples
+        << " samples saw a thief Active";
+  }
 }
 
 TEST(SchedulerDwsNc, SleepsAndWakesWithoutATable) {

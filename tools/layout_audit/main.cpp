@@ -112,6 +112,8 @@ struct Access {
       DWS_AUDIT_FIELD(pool_, "");
       DWS_AUDIT_FIELD(stats_, "");
       DWS_AUDIT_FIELD(thread_, "");
+      DWS_AUDIT_FIELD(busy_since_, "owned_by:worker");
+      DWS_AUDIT_FIELD(ran_dry_, "owned_by:worker");
       DWS_AUDIT_FIELD(sleep_, "shared");
     }
     {
