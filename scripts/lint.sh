@@ -99,6 +99,27 @@ ${BAD_THREADS}"
 fi
 note "raw-threads" "${BAD_THREADS}"
 
+# Wait-mechanism lint: the runtime blocks in one way only, on a 32-bit
+# word through the atomics policy's wait / wait_until / wake
+# (core/atomics_policy.hpp). A futex call anywhere else is a second
+# mechanism, and one that std::atomic::notify on the same word would not
+# wake (libstdc++ skips the futex unless its own waiter count says
+# someone waits). A condition variable under src/runtime/ is a lock on a
+# wait path; only the Observer's sampling thread keeps one.
+FUTEX_SITES=$(git ls-files 'src/**/*.cpp' 'src/**/*.hpp' 'tests/*.cpp' \
+  'bench/*.cpp' 'examples/*.cpp' 'tools/**/*.cpp' 'tools/**/*.h' \
+  | grep -v -e '^src/core/atomics_policy.hpp$' \
+  | xargs grep -n 'SYS_futex' 2>/dev/null | strip_sanctioned)
+CONDVAR_SITES=$(git ls-files 'src/runtime/*.cpp' 'src/runtime/*.hpp' \
+  | grep -v -e '^src/runtime/observer\.[ch]pp$' \
+  | xargs grep -n 'condition_variable' 2>/dev/null | strip_sanctioned)
+BAD_WAITS=$(printf '%s\n%s\n' "${FUTEX_SITES}" "${CONDVAR_SITES}" | sed '/^$/d')
+if [ -n "${BAD_WAITS}" ]; then
+  BAD_WAITS="a second wait mechanism (SYS_futex outside core/atomics_policy.hpp, or a condition variable in src/runtime/ outside observer.{hpp,cpp}):
+${BAD_WAITS}"
+fi
+note "one-wait-mechanism" "${BAD_WAITS}"
+
 # Lock-annotation lint: the race detector models locks only through
 # race::lock_acquire/lock_release, so a raw std::mutex guard in kernel
 # or policy code is invisible to ALL-SETS — a locked critical section

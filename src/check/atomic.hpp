@@ -215,41 +215,57 @@ class atomic {
   template <typename U = T,
             typename = std::enable_if_t<std::is_integral_v<U>>>
   T fetch_add(T arg, std::memory_order mo = std::memory_order_seq_cst) {
-    Scheduler* s = current();
-    if (s == nullptr || s->aborting()) {
-      auto guard = s != nullptr ? s->op_guard()
-                                : std::unique_lock<std::mutex>();
-      const T old = hist_.back().value;
-      hist_.push_back({static_cast<T>(old + arg), {}, {},
-                       s != nullptr ? s->current_thread() : 0});
-      return old;
-    }
-    s->schedule_point();
-    const int tid = s->current_thread();
-    auto& ts = s->state(tid);
-    const T old = hist_.back().value;
-    rmw_commit(s, ts, tid, static_cast<T>(old + arg), mo);
-    if (s->trace_enabled()) {
-      s->note("atomic", id_, "fetch_add", detail::to_ll(old));
-    }
-    return old;
+    return fetch_op(mo, "fetch_add",
+                    [arg](T v) { return static_cast<T>(v + arg); });
+  }
+  template <typename U = T,
+            typename = std::enable_if_t<std::is_integral_v<U>>>
+  T fetch_sub(T arg, std::memory_order mo = std::memory_order_seq_cst) {
+    return fetch_op(mo, "fetch_sub",
+                    [arg](T v) { return static_cast<T>(v - arg); });
+  }
+  template <typename U = T,
+            typename = std::enable_if_t<std::is_integral_v<U>>>
+  T fetch_or(T arg, std::memory_order mo = std::memory_order_seq_cst) {
+    return fetch_op(mo, "fetch_or",
+                    [arg](T v) { return static_cast<T>(v | arg); });
+  }
+  template <typename U = T,
+            typename = std::enable_if_t<std::is_integral_v<U>>>
+  T fetch_and(T arg, std::memory_order mo = std::memory_order_seq_cst) {
+    return fetch_op(mo, "fetch_and",
+                    [arg](T v) { return static_cast<T>(v & arg); });
+  }
+  template <typename U = T,
+            typename = std::enable_if_t<std::is_integral_v<U>>>
+  T fetch_xor(T arg, std::memory_order mo = std::memory_order_seq_cst) {
+    return fetch_op(mo, "fetch_xor",
+                    [arg](T v) { return static_cast<T>(v ^ arg); });
   }
 
   /// Blocks the model thread while the value equals `old`; a blocked thread
   /// is not runnable until a notify on this object re-enables it. Compares
   /// the newest store, as a futex does. Outside explore() it returns.
   void wait(T old, std::memory_order mo = std::memory_order_seq_cst) const {
+    park(old, mo, false);
+  }
+
+  /// As wait, but a timed one: it may also return at any scheduling point
+  /// without a notify (a timeout), and never ends the execution blocked.
+  void wait_timed(T old,
+                  std::memory_order mo = std::memory_order_seq_cst) const {
+    park(old, mo, true);
+  }
+
+  /// Fault injection: block until a notify without comparing the value,
+  /// as a futex wait that skipped its compare would. A notify that came
+  /// before the block is then lost, which is what the compare prevents.
+  void wait_blind() const {
     Scheduler* s = current();
     if (s == nullptr || s->quiescent()) return;
-    for (;;) {
-      s->schedule_point();
-      if (s->aborting()) return;
-      const int tid = s->current_thread();
-      const StoreRec& last = read_newest(s, s->state(tid), tid, mo);
-      if (!(last.value == old)) return;
-      if (s->trace_enabled()) s->note("atomic", id_, "wait", detail::to_ll(old));
-      s->block_on(id_);
-    }
+    s->schedule_point();
+    if (s->aborting()) return;
+    (void)s->block_on(id_);
   }
 
   /// Re-enable one blocked waiter (the checker explores which) or all.
@@ -314,6 +330,43 @@ class atomic {
     hist_.push_back(std::move(r));
     last_seen_[tid] = static_cast<int>(hist_.size()) - 1;
     return last.value;
+  }
+
+  template <typename Op>
+  T fetch_op(std::memory_order mo, const char* name, Op op) {
+    Scheduler* s = current();
+    if (s == nullptr || s->aborting()) {
+      auto guard = s != nullptr ? s->op_guard()
+                                : std::unique_lock<std::mutex>();
+      const T old = hist_.back().value;
+      hist_.push_back(
+          {op(old), {}, {}, s != nullptr ? s->current_thread() : 0});
+      return old;
+    }
+    s->schedule_point();
+    const int tid = s->current_thread();
+    auto& ts = s->state(tid);
+    const T old = hist_.back().value;
+    rmw_commit(s, ts, tid, op(old), mo);
+    if (s->trace_enabled()) s->note("atomic", id_, name, detail::to_ll(old));
+    return old;
+  }
+
+  void park(T old, std::memory_order mo, bool timed) const {
+    Scheduler* s = current();
+    if (s == nullptr || s->quiescent()) return;
+    for (;;) {
+      s->schedule_point();
+      if (s->aborting()) return;
+      const int tid = s->current_thread();
+      const StoreRec& last = read_newest(s, s->state(tid), tid, mo);
+      if (!(last.value == old)) return;
+      if (s->trace_enabled()) {
+        s->note("atomic", id_, timed ? "wait_timed" : "wait",
+                detail::to_ll(old));
+      }
+      if (s->block_on(id_, timed)) return;  // timed out
+    }
   }
 
   void notify(bool all) {

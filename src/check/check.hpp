@@ -10,6 +10,9 @@
 // replay a failing interleaving.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
+
 #include "check/atomic.hpp"
 #include "check/scheduler.hpp"
 #include "check/vector_clock.hpp"
@@ -17,11 +20,30 @@
 namespace dws::check {
 
 /// Atomics policy routing every operation through the model checker.
+/// Its wait primitive models a futex: `wait` blocks while the newest
+/// store equals `expected`, with no memory order of its own; `wait_until`
+/// may also time out at any scheduling point, whatever its deadline says,
+/// except that a deadline of time_point::max() never comes, so that wait
+/// is untimed; `wake` re-enables every waiter on the word.
 struct CheckAtomicsPolicy {
   template <typename T>
   using atomic = check::atomic<T>;
+  using Clock = std::chrono::steady_clock;
 
   static void fence(std::memory_order mo) { check::fence(mo); }
+
+  static void wait(const atomic<std::uint32_t>& a, std::uint32_t expected) {
+    a.wait(expected, std::memory_order_relaxed);
+  }
+  static void wait_until(const atomic<std::uint32_t>& a,
+                         std::uint32_t expected, Clock::time_point deadline) {
+    if (deadline == Clock::time_point::max()) {
+      a.wait(expected, std::memory_order_relaxed);
+    } else {
+      a.wait_timed(expected, std::memory_order_relaxed);
+    }
+  }
+  static void wake(atomic<std::uint32_t>& a) { a.notify_all(); }
 };
 
 /// Fault-injection policy adapter: downgrades every seq_cst fence to

@@ -153,16 +153,24 @@ void Scheduler::pass_token_locked(int next) {
   cv_.notify_all();
 }
 
-void Scheduler::block_on(int obj_id) {
+bool Scheduler::block_on(int obj_id, bool timed) {
   std::unique_lock lk(mu_);
   const int cur = tls_tid;
   blocked_on_[cur] = obj_id;
+  timed_[cur] = timed;
   pass_token_locked(pick_next_locked(cur));
   cv_.wait(lk, [&] { return active_ == cur || abort_; });
   if (abort_) {
     lk.unlock();
     throw detail::StopExecution{};
   }
+  // A notify clears blocked_on_; a timeout leaves it for us to clear.
+  const bool timed_out = blocked_on_[cur] != 0;
+  blocked_on_[cur] = 0;
+  if (timed_out && trace_on_) {
+    trace_.push_back("T" + std::to_string(cur) + ": timeout");
+  }
+  return timed_out;
 }
 
 void Scheduler::notify(int obj_id, bool all) {
@@ -180,7 +188,8 @@ void Scheduler::notify(int obj_id, bool all) {
 
 int Scheduler::pick_next_locked(int cur) {
   // Candidate order: the current thread first (so the DFS default of 0 is
-  // "no preemption"), then the others by id.
+  // "no preemption"), then the others by id, then the threads in a timed
+  // wait, for which being picked is a timeout.
   int cand[kMaxThreads];
   int n = 0;
   const bool cur_runnable = cur >= 1 && !finished_[cur] && !blocked(cur);
@@ -188,13 +197,19 @@ int Scheduler::pick_next_locked(int cur) {
   for (int i = 1; i <= nthreads_; ++i) {
     if (i != cur && !finished_[i] && !blocked(i)) cand[n++] = i;
   }
+  const int runnable = n;
+  for (int i = 1; i <= nthreads_; ++i) {
+    if (!finished_[i] && blocked(i) && timed_[i]) cand[n++] = i;
+  }
   if (n == 0) return -1;
   if (n == 1) return cand[0];
-  const int k = decide(n, detail::DecisionKind::kThread, cur_runnable);
-  return cand[k];
+  // Free choices: staying on a runnable current thread, else any runnable
+  // thread, else (nothing can run) any timeout.
+  const int free = cur_runnable ? 1 : (runnable > 0 ? runnable : n);
+  return cand[decide(n, detail::DecisionKind::kThread, free)];
 }
 
-int Scheduler::decide(int n, detail::DecisionKind kind, bool preemptive) {
+int Scheduler::decide(int n, detail::DecisionKind kind, int free) {
   int taken;
   if (pos_ < prefix_.size()) {
     taken = prefix_[pos_];
@@ -205,10 +220,8 @@ int Scheduler::decide(int n, detail::DecisionKind kind, bool preemptive) {
   } else {
     taken = 0;
   }
-  decisions_.push_back({kind, taken, n, preemptive, preemptions_});
-  if (kind == detail::DecisionKind::kThread && preemptive && taken != 0) {
-    ++preemptions_;
-  }
+  decisions_.push_back({kind, taken, n, free, preemptions_});
+  if (taken >= free) ++preemptions_;
   ++pos_;
   return taken;
 }
@@ -240,7 +253,7 @@ void Scheduler::schedule_point() {
 int Scheduler::choose_value(int n) {
   if (n <= 1) return 0;
   if (quiescent()) return n - 1;  // the controller reads the newest store
-  return decide(n, detail::DecisionKind::kValue, false);
+  return decide(n, detail::DecisionKind::kValue, n);
 }
 
 void Scheduler::sc_sync(VectorClock& clock) {
@@ -388,9 +401,7 @@ Result explore(const Options& opts, const std::function<void(Sim&)>& setup) {
     for (std::size_t p = out.decisions.size(); p-- > plen;) {
       const auto& d = out.decisions[p];
       for (int alt = d.taken + 1; alt < d.num; ++alt) {
-        const bool is_preemption = d.kind == detail::DecisionKind::kThread &&
-                                   d.preemptive && alt != 0;
-        if (is_preemption && d.preemptions_before >= opts.preemption_bound) {
+        if (alt >= d.free && d.preemptions_before >= opts.preemption_bound) {
           continue;
         }
         std::vector<int> np;

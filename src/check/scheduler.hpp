@@ -81,7 +81,7 @@ struct Decision {
   DecisionKind kind;
   int taken;
   int num;               // alternatives at this point
-  bool preemptive;       // kThread with the previous thread still runnable
+  int free;              // alternatives [0, free) are not preemptions
   int preemptions_before;  // preemptions taken in the prefix up to here
 };
 
@@ -124,7 +124,8 @@ Result explore(const Options& opts, const std::function<void(Sim&)>& setup);
 void expect(bool cond, const char* msg);
 
 /// For on_exit: whether model thread `tid` (1-based, in spawn order) ended
-/// the execution blocked in atomic::wait.
+/// the execution blocked in atomic::wait. A timed wait never ends blocked:
+/// when nothing else can run, it times out.
 [[nodiscard]] bool ended_blocked(int tid);
 
 class Scheduler {
@@ -153,7 +154,11 @@ class Scheduler {
 
   /// atomic::wait: block the calling thread on `obj_id` until a notify
   /// re-enables it (throws StopExecution if the execution ends first).
-  void block_on(int obj_id);
+  /// A `timed` block may also time out: the thread stays a candidate at
+  /// every scheduling decision, after the runnable threads, and taking it
+  /// while any thread is runnable counts as a preemption. Returns true on
+  /// a timeout.
+  bool block_on(int obj_id, bool timed = false);
   /// Re-enable one (an explored choice) or all threads blocked on `obj_id`.
   void notify(int obj_id, bool all);
   [[nodiscard]] bool blocked(int tid) const noexcept {
@@ -197,7 +202,7 @@ class Scheduler {
   void thread_main(int tid);
   int pick_next_locked(int cur);
   void pass_token_locked(int next);
-  int decide(int n, detail::DecisionKind kind, bool preemptive);
+  int decide(int n, detail::DecisionKind kind, int free);
   void record_failure_locked(std::string msg);
 
   static ExecOutcome run_one(const Options& opts, std::vector<int> prefix,
@@ -216,6 +221,7 @@ class Scheduler {
   std::array<detail::ThreadState, kMaxThreads + 1> states_{};
   std::array<bool, kMaxThreads + 1> finished_{};
   std::array<int, kMaxThreads + 1> blocked_on_{};  // object id; 0 = runnable
+  std::array<bool, kMaxThreads + 1> timed_{};      // blocked with a timeout
   int nthreads_ = 0;
   int object_ids_ = 0;
 

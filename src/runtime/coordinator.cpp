@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
-#include <utility>
 
 #include "runtime/scheduler.hpp"
 
@@ -32,12 +30,7 @@ void Coordinator::start() {
 }
 
 void Coordinator::stop() {
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    stop_requested_ = true;
-    cv_.notify_all();
-    watch_cv_.notify_all();
-  }
+  signals_.stop();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -48,62 +41,45 @@ void Coordinator::thread_main() {
   const auto period = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::milli>(
           std::min(sched_.config().coordinator_period_ms, 1e12)));
+  constexpr auto kNoWatch = Clock::time_point::max();
   auto next_tick = Clock::now() + period;
-  std::optional<Clock::time_point> watch_end;  // a backlog watch runs
-  std::unique_lock<std::mutex> lock(m_);
-  while (!stop_requested_) {
+  auto watch_end = kNoWatch;  // the running backlog watch's end
+  for (;;) {
     // Sleeping every T ms (§3.4). A nudge, or the end of a backlog watch,
     // runs the demand step alone in between, so the period's heartbeat and
     // stale sweep keep their once-per-T cadence and a watch never delays
-    // a period. The nudge flag outlives a nudge that lands mid-step, which
-    // then ends the next wait at once instead of being lost for a period.
-    if (watch_end) {
-      // Arms signal cv_ only, so the push edges that keep coming during a
-      // watch do not wake the coordinator.
-      watch_cv_.wait_until(lock, std::min(*watch_end, next_tick), [this] {
-        return nudged_ || stop_requested_;
-      });
-    } else {
-      cv_.wait_until(lock, next_tick, [this] {
-        return nudged_ || stop_requested_ ||
-               watch_armed_.load(std::memory_order_relaxed);
-      });
-    }
-    if (stop_requested_) break;
-    const bool nudged = std::exchange(nudged_, false);
-    lock.unlock();
+    // a period. A wait that returns early finds nothing due and waits again.
+    const std::uint32_t s =
+        signals_.wait_until(std::min(watch_end, next_tick));
+    if ((s & SignalWord<>::kStop) != 0) break;
     const auto now = Clock::now();
-    if (now >= next_tick) {
-      next_tick = now + period;
-      tick();
-      watch_end.reset();  // the step just read the live backlog
-    } else if (nudged) {
-      step();
-      watch_end.reset();
-    } else if (!watch_end) {
-      start_watch();
-      watch_end = now + watch_wait_;
-    } else if (now >= *watch_end) {
-      watch_end.reset();
+    if (now >= next_tick || (s & SignalWord<>::kNudge) != 0) {
+      if (now >= next_tick) {
+        next_tick = now + period;
+        tick();
+      } else {
+        step();
+      }
+      watch_end = kNoWatch;  // the step just read the live backlog
+      (void)signals_.end_watch();
+    } else if (watch_end == kNoWatch) {
+      if ((s & SignalWord<>::kArmed) != 0) {
+        start_watch();
+        watch_end = now + watch_wait_;
+      }
+    } else if (now >= watch_end) {
+      watch_end = kNoWatch;
       end_watch();
     }
-    lock.lock();
   }
 }
 
-void Coordinator::nudge() noexcept {
-  std::lock_guard<std::mutex> lock(m_);
-  nudged_ = true;
-  cv_.notify_all();
-  watch_cv_.notify_all();
-}
-
 void Coordinator::start_watch() {
-  // Disarm before marking. The arm's exchange and this one are acq_rel
-  // RMWs on one flag: either this exchange reads a push edge's arm, and
-  // then the marks below see that push, or the edge's arm comes later and
+  // Disarm before marking. The arm's fetch_or and this disarm are acq_rel
+  // RMWs on one word: either the disarm reads a push edge's arm, and then
+  // the marks below see that push, or the edge's arm comes later and
   // starts the next watch. No edge is lost.
-  watch_armed_.exchange(false, std::memory_order_acq_rel);
+  signals_.begin_watch();
   const unsigned k = sched_.num_workers();
   marks_.resize(k);
   for (unsigned i = 0; i < k; ++i) {
@@ -112,6 +88,7 @@ void Coordinator::start_watch() {
 }
 
 void Coordinator::end_watch() {
+  const bool armed = signals_.end_watch();
   for (unsigned i = 0; i < sched_.num_workers(); ++i) {
     if (backlog_aged(marks_[i], sched_.worker_at(i).deque().mark())) {
       watch_wait_ = kBacklogAge;
@@ -119,9 +96,8 @@ void Coordinator::end_watch() {
       return;
     }
   }
-  watch_wait_ = watch_armed_.load(std::memory_order_relaxed)
-                    ? std::min(2 * watch_wait_, kBacklogWatchCap)
-                    : kBacklogAge;
+  watch_wait_ = armed ? std::min(2 * watch_wait_, kBacklogWatchCap)
+                      : kBacklogAge;
 }
 
 void Coordinator::tick() {

@@ -12,21 +12,76 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "core/backlog_age.hpp"
 #include "core/coordinator_policy.hpp"
+#include "core/atomics_policy.hpp"
 #include "core/types.hpp"
 #include "util/layout.hpp"
 
 namespace dws::rt {
 
 class Scheduler;
+
+/// The coordinator's signals as one word: stop, nudge and the watch's arm
+/// are bits any thread sets with one acq_rel fetch_or, then a wake. While
+/// a watch runs the coordinator sets kWatching and stops listening for
+/// arms. tests/test_check_signal.cpp model-checks this template; nothing
+/// here is noexcept, as the checker unwinds from atomic operations.
+template <typename Policy = StdAtomicsPolicy>
+class SignalWord {
+ public:
+  static constexpr std::uint32_t kStop = 1, kNudge = 2, kArmed = 4,
+                                 kWatching = 8;
+
+  void stop() { raise(kStop); }
+  /// A nudge stays set until a wait consumes it.
+  void nudge() { raise(kNudge); }
+  /// The fetch_or publishes the push behind the arm to its watch.
+  void arm() {
+    if ((word_.load(std::memory_order_relaxed) & kArmed) == 0 &&
+        (word_.fetch_or(kArmed, std::memory_order_acq_rel) &
+         (kArmed | kWatching)) == 0) {
+      Policy::wake(word_);
+    }
+  }
+  /// Coordinator: the bits set, once one it listens for is set or
+  /// `deadline` comes (it may return early). Consumes a nudge.
+  std::uint32_t wait_until(std::chrono::steady_clock::time_point deadline) {
+    std::uint32_t w = word_.load(std::memory_order_acquire);
+    if ((w & (kStop | kNudge | ((w & kWatching) != 0 ? 0 : kArmed))) == 0) {
+      Policy::wait_until(word_, w, deadline);
+      w = word_.load(std::memory_order_acquire);
+    }
+    return (w & kNudge) == 0
+               ? w
+               : word_.fetch_and(~kNudge, std::memory_order_acq_rel);
+  }
+  /// Coordinator, on an arm: disarm and set kWatching. Only it clears
+  /// kArmed and sets kWatching, so one xor does both.
+  void begin_watch() {
+    word_.fetch_xor(kArmed | kWatching, std::memory_order_acq_rel);
+  }
+  /// Coordinator: end or abandon the watch. True if an arm came during it.
+  bool end_watch() {
+    return (word_.fetch_and(~kWatching, std::memory_order_acq_rel) &
+            kArmed) != 0;
+  }
+
+ private:
+  // Set, then wake: a wake first could fall between test and sleep.
+  void raise(std::uint32_t bit) {
+    if ((word_.fetch_or(bit, std::memory_order_acq_rel) & bit) == 0) {
+      Policy::wake(word_);
+    }
+  }
+
+  DWS_SHARED typename Policy::template atomic<std::uint32_t> word_{0};
+};
 
 class Coordinator {
  public:
@@ -65,22 +120,15 @@ class Coordinator {
   /// Run the demand step now (or, when a step is running, right after
   /// it), without the period's heartbeat and stale sweep. Called when
   /// external work arrives on a fully-asleep program.
-  void nudge() noexcept;
+  void nudge() noexcept { signals_.nudge(); }
 
   /// Arm the backlog watch: the coordinator marks every deque's
   /// (top, bottom), waits kBacklogAge (up to kBacklogWatchCap after
   /// futile cycles), and runs the demand step if a deque still holds the
   /// task it held at the mark. Called by a worker whose push took its
   /// deque from empty to non-empty while a worker sleeps; a no-op while
-  /// the watch is armed.
-  void arm_backlog_watch() noexcept {
-    if (watch_armed_.load(std::memory_order_relaxed)) return;
-    if (watch_armed_.exchange(true, std::memory_order_acq_rel)) return;
-    // Through the mutex: the coordinator tests the flag under it before
-    // blocking, so the notify cannot fall between its test and its wait.
-    { const std::lock_guard<std::mutex> lock(m_); }
-    cv_.notify_one();
-  }
+  /// the watch is armed. Wakes the coordinator only if no watch runs.
+  void arm_backlog_watch() noexcept { signals_.arm(); }
 
   [[nodiscard]] std::uint64_t ticks() const noexcept {
     return ticks_.load(std::memory_order_relaxed);
@@ -121,23 +169,9 @@ class Coordinator {
   std::unique_ptr<StaleSweeper> sweeper_;      // crash tolerance (optional)
 
   std::thread thread_;
-  // Stop/nudge handshake: written by the owning Scheduler (stop, nudge)
-  // and read by the coordinator thread — a different writer set than the
-  // tick counters below, so the two groups get separate lines.
-  DWS_SHARED std::mutex m_;
-  DWS_SHARED std::condition_variable cv_;
-  // The backlog watch's wait: only stop() and nudge() signal it, so the
-  // arms that push edges keep making during a watch do not wake the
-  // coordinator.
-  DWS_SHARED std::condition_variable watch_cv_;
-  DWS_SHARED bool stop_requested_ = false;  // guarded by m_
-  DWS_SHARED bool nudged_ = false;          // guarded by m_
-
-  // Backlog watch: set by spawning workers on a push edge, cleared by the
-  // coordinator thread at the start of a watch cycle. Read on every push
-  // edge while a worker sleeps, so it does not share the mutex's line.
-  alignas(layout::kCacheLineBytes) DWS_SHARED std::atomic<bool> watch_armed_{
-      false};
+  // Set by the Scheduler (stop, nudge) and by spawning workers on push
+  // edges (arm): its own line, away from the tick counters below.
+  alignas(layout::kCacheLineBytes) DWS_SHARED SignalWord<> signals_;
   // Coordinator thread only.
   std::vector<DequeMark> marks_;
   std::chrono::microseconds watch_wait_ = kBacklogAge;

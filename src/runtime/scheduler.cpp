@@ -137,8 +137,9 @@ TaskBase* Scheduler::try_pop_inbox() {
 namespace {
 
 // Join-edge for the live-schedule detector (FastTrack mode): the waiter
-// acquires everything the group's completed tasks published. Called after
-// quiesce(), so every completer's on_task_end has already run.
+// acquires everything the group's completed tasks published. Called once
+// the count reads zero: every task runs its on_task_end before its
+// decrement, so every completer's on_task_end has already run.
 inline void race_notify_wait_done(TaskGroup& group) noexcept {
 #ifndef DWS_RACE_DISABLED
   if (race::ParallelHook* ph =
@@ -167,38 +168,31 @@ void Scheduler::wait(TaskGroup& group) {
   Worker* w = current_worker();
   if (w == nullptr || &w->sched_ != this) {
     // External thread: it has no deque to help from, so it blocks until
-    // the group's final completer notifies.
-    group.block();
-    group.quiesce();
-    race_notify_wait_done(group);
-    group.strict_on_wait_done();
-    group.rethrow_if_exception();
-    return;
-  }
-
-  // Help-first join: execute whatever is available until the group
-  // drains. The waiter never goes to sleep here — its stack holds the
-  // continuation — so after a yield phase it blocks on the group's
-  // condvar for at most 200 µs (woken early on drain). The bound is not
-  // a lost-wakeup cover: it is how often the waiter looks for new work.
-  int consecutive_failures = 0;
-  while (!group.done()) {
-    if (TaskBase* t = w->find_task()) {
-      consecutive_failures = 0;
-      ++w->stats_.tasks_executed;
-      execute(t);
-      continue;
-    }
-    ++consecutive_failures;
-    if (consecutive_failures < 64) {
-      std::this_thread::yield();
-    } else {
-      group.timed_block(std::chrono::microseconds(200));
+    // the group's final completer wakes it.
+    group.join().wait();
+  } else {
+    // Help-first join: execute whatever is available until the group
+    // drains. The waiter never goes to sleep here — its stack holds the
+    // continuation — so after a yield phase it parks on the join word for
+    // at most 200 µs (woken early on drain). The bound is not a
+    // lost-wakeup cover: it is how often the waiter looks for new work.
+    int consecutive_failures = 0;
+    while (!group.done()) {
+      if (TaskBase* t = w->find_task()) {
+        consecutive_failures = 0;
+        ++w->stats_.tasks_executed;
+        execute(t);
+        continue;
+      }
+      ++consecutive_failures;
+      if (consecutive_failures < 64) {
+        std::this_thread::yield();
+      } else {
+        group.join().wait_until(std::chrono::steady_clock::now() +
+                                std::chrono::microseconds(200));
+      }
     }
   }
-  // The final completer may still be inside the group's notify; do not
-  // let the caller destroy the group under it.
-  group.quiesce();
   race_notify_wait_done(group);
   group.strict_on_wait_done();
   group.rethrow_if_exception();

@@ -1,10 +1,10 @@
 // A worker's sleep state (§3.2 sleep, §3.3 wake) as one atomic word: the
 // state in the low two bits, a shutdown token above them. It is the only
 // thing an idle worker blocks on, in every mode, and the only shutdown
-// signal. Owners block on the word with C++20 atomic wait / notify (a
-// futex on Linux). It takes the atomics policy so
-// tests/test_check_sleep.cpp model-checks this template; nothing here is
-// noexcept, as the checker unwinds from atomic operations.
+// signal. Owners block on the word through the atomics policy's wait and
+// wake (core/atomics_policy.hpp), so tests/test_check_sleep.cpp
+// model-checks this template; nothing here is noexcept, as the checker
+// unwinds from atomic operations.
 #pragma once
 
 #include <atomic>
@@ -49,7 +49,7 @@ class SleepWord {
     auto w = word_.load(std::memory_order_acquire);
     for (; of(w) != SleepState::kActive && w <= kMask;
          w = word_.load(std::memory_order_acquire)) {
-      word_.wait(w, std::memory_order_acquire);
+      Policy::wait(word_, w);
     }
   }
   /// EP: stay Parked until shutdown.
@@ -57,17 +57,17 @@ class SleepWord {
     enter(SleepState::kParked);
     block();
   }
-  /// CAS Sleeping -> Active, then notify. True only if it moved a sleeper,
+  /// CAS Sleeping -> Active, then wake. True only if it moved a sleeper,
   /// so a woken worker counts as Active at once (the simulator's kWaking).
   bool wake() {
     if (!leave_sleeping()) return false;
-    word_.notify_one();
+    Policy::wake(word_);
     return true;
   }
   /// Bump the token: blocked owners return, and later blocks return at once.
   void shutdown() {
     word_.fetch_add(kMask + 1, std::memory_order_acq_rel);
-    word_.notify_all();
+    Policy::wake(word_);
   }
 
  private:

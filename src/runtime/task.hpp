@@ -11,14 +11,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <mutex>
-#include <thread>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
+#include "core/atomics_policy.hpp"
 #include "runtime/race_hook.hpp"
 #include "runtime/strict.hpp"
 #include "runtime/task_pool.hpp"
@@ -113,11 +112,60 @@ class TaskImpl final : public TaskBase {
 template <typename G>
 TaskImpl(TaskGroup*, G&&) -> TaskImpl<std::decay_t<G>>;
 
-/// Join counter for a set of spawned tasks (TBB task_group-style). The
-/// spawner increments `pending` per spawn; task completion decrements it.
-/// wait() is implemented by the scheduler (help-first: the waiter executes
-/// and steals tasks until the counter drains). The first exception thrown
-/// by any task in the group is captured and rethrown from wait().
+/// A group's join as one word: the pending count above a "waiter parked"
+/// bit. A completion is one fetch_sub; only the last one, if a waiter
+/// parked, wakes the word's address, which is a syscall on a number even
+/// once the waiter has destroyed the group. tests/test_check_join.cpp
+/// model-checks this template; nothing here is noexcept, as the checker
+/// unwinds from atomic operations.
+template <typename Policy = StdAtomicsPolicy>
+class JoinWord {
+ public:
+  [[nodiscard]] bool done() const { return load() < kOne; }
+  [[nodiscard]] std::uint32_t pending() const { return load() / kOne; }
+  /// The add that would overflow the count's 31 bits is undone and throws.
+  void add() {
+    if (word_.fetch_add(kOne, std::memory_order_relaxed) / kOne == kMax) {
+      word_.fetch_sub(kOne, std::memory_order_relaxed);
+      throw std::length_error("TaskGroup: more than 2^31 - 1 pending tasks");
+    }
+  }
+  void complete_one() {
+    if (word_.fetch_sub(kOne, std::memory_order_acq_rel) == (kOne | kParked)) {
+      Policy::wake(word_);
+    }
+  }
+  /// Block until the count is zero.
+  void wait() {
+    for (std::uint32_t w = park(); w != 0; w = park()) Policy::wait(word_, w);
+  }
+  /// Park once, until a wake or `deadline`; it may return early.
+  void wait_until(std::chrono::steady_clock::time_point deadline) {
+    if (const auto w = park(); w != 0) Policy::wait_until(word_, w, deadline);
+  }
+
+ private:
+  static constexpr std::uint32_t kParked = 1, kOne = 2, kMax = ~0u / kOne;
+
+  std::uint32_t load() const { return word_.load(std::memory_order_acquire); }
+  // Set the parked bit, which stays set for the group's life; returns the
+  // word to sleep on, or 0 once the count is zero.
+  std::uint32_t park() {
+    std::uint32_t w = load();
+    if (w >= kOne && (w & kParked) == 0) {
+      w = word_.fetch_or(kParked, std::memory_order_acquire) | kParked;
+    }
+    return w >= kOne ? w : 0;
+  }
+
+  DWS_SHARED typename Policy::template atomic<std::uint32_t> word_{0};
+};
+
+/// Join counter for a set of spawned tasks (TBB task_group-style): spawns
+/// add to its JoinWord and completions take from it. wait() is implemented
+/// by the scheduler (help-first: the waiter executes and steals tasks until
+/// the counter drains). The first exception thrown by any task in the
+/// group is captured and rethrown from wait().
 class TaskGroup {
  public:
   TaskGroup() {
@@ -137,8 +185,7 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   ~TaskGroup() {
-    if (creator_tag_ != 0 &&
-        pending_.load(std::memory_order_acquire) != 0) {
+    if (creator_tag_ != 0 && !join_.done()) {
       strict::report(strict::Violation::kEscapedGroup,
                      "TaskGroup destroyed with tasks still pending — the "
                      "group escaped its creating scope (completers will "
@@ -146,48 +193,13 @@ class TaskGroup {
     }
   }
 
-  [[nodiscard]] bool done() const noexcept {
-    return pending_.load(std::memory_order_acquire) == 0;
-  }
-
-  [[nodiscard]] std::int64_t pending() const noexcept {
-    return pending_.load(std::memory_order_acquire);
-  }
-
-  void add_pending() noexcept {
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Called exactly once per task (from run_and_destroy). Wakes blocked
-  /// waiters when the group drains.
-  ///
-  /// The signalers_ gate makes destruction safe: a waiter that observed
-  /// done() may be about to destroy this group, but the completer that
-  /// performed the final decrement still has to touch m_/cv_ to wake
-  /// sleepers. Announcing in signalers_ *before* the decrement means any
-  /// thread that sees pending_ == 0 also sees our announcement (the
-  /// increment is sequenced before the decrement, and the waiter's
-  /// acquire load of pending_ synchronizes with the decrement chain), so
-  /// quiesce() cannot return while we are still inside the notify.
-  void complete_one() noexcept {
-    signalers_.fetch_add(1, std::memory_order_relaxed);
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(m_);
-      cv_.notify_all();
-    }
-    signalers_.fetch_sub(1, std::memory_order_release);
-  }
-
-  /// Wait for in-flight completers to finish touching this object. Must
-  /// be called after done() returns true and before the group is
-  /// destroyed or reused; Scheduler::wait does this. The window is the
-  /// few instructions between a completer's final decrement and its
-  /// notify, so this effectively never spins more than once.
-  void quiesce() const noexcept {
-    while (signalers_.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
-    }
-  }
+  [[nodiscard]] bool done() const noexcept { return join_.done(); }
+  void add_pending() { join_.add(); }
+  /// Called exactly once per task (from run_and_destroy), after its last
+  /// other access to this group.
+  void complete_one() noexcept { join_.complete_one(); }
+  /// The word a waiter blocks on (Scheduler::wait).
+  [[nodiscard]] JoinWord<>& join() noexcept { return join_; }
 
   /// Record the first exception thrown by a task of this group.
   void capture_exception(std::exception_ptr e) noexcept {
@@ -206,23 +218,6 @@ class TaskGroup {
       has_exception_.store(false, std::memory_order_release);
       std::rethrow_exception(e);
     }
-  }
-
-  /// Block until the group drains. No completion is lost: the final
-  /// completer notifies under m_ after its decrement, and the predicate
-  /// is read under m_.
-  void block() {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait(lock, [this] { return done(); });
-  }
-
-  /// Block until the group drains or `timeout` elapses. A nested waiter
-  /// with nothing to steal blocks this way between its searches for new
-  /// work (see Scheduler::wait).
-  template <typename Rep, typename Period>
-  void timed_block(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_.wait_for(lock, timeout, [this] { return done(); });
   }
 
   // ---- Strictness hooks (called by the Scheduler; no-ops unless the
@@ -292,19 +287,16 @@ class TaskGroup {
   friend struct dws::layout::Access;  // layout_audit reads private layouts
 
   // All hot words here form ONE sharing domain — the join protocol:
-  // spawners bump pending_, completers decrement it and signal through
-  // m_/cv_, the creator writes waited_. A TaskGroup lives on the waiting
-  // frame's stack for one join, so striding its words would buy nothing:
-  // the same threads touch all of them back to back.
-  DWS_SHARED std::atomic<std::int64_t> pending_{0};
+  // spawners add to join_, completers take from it and wake through it,
+  // the creator writes waited_. A TaskGroup lives on the waiting frame's
+  // stack for one join, so striding its words would buy nothing: the same
+  // threads touch all of them back to back.
+  DWS_SHARED JoinWord<> join_;
   std::uintptr_t creator_tag_ = 0;  // 0 == strictness unarmed
   strict::Lineage creator_lineage_;  // empty for non-task creator frames
   DWS_SHARED std::atomic<bool> waited_{false};
-  DWS_SHARED std::atomic<std::int32_t> signalers_{0};  // completers, m_/cv_
   DWS_SHARED std::atomic<bool> has_exception_{false};
   std::exception_ptr exception_;
-  DWS_SHARED std::mutex m_;
-  DWS_SHARED std::condition_variable cv_;
 };
 
 inline void TaskBase::run_and_destroy() noexcept {

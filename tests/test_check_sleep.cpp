@@ -1,6 +1,6 @@
 // Model check of the worker's sleep word as compiled: the production
 // SleepWord template (src/runtime/sleep_word.hpp) over the checker's
-// instrumented atomics, which model atomic wait / notify.
+// instrumented atomics and its model of the policy's wait and wake.
 //
 // Scenarios:
 //  - Handshake. An external submitter (Scheduler::enqueue: bump the inbox,
@@ -26,7 +26,7 @@
 // weakened to release/acquire, only the seq_cst RMWs weakened (the
 // re-check load stays seq_cst, so it must not act as a fence), the
 // word's seq_cst loads made relaxed (the submitter's seq_cst bump must
-// not act as a fence either), and a notify that does nothing. Outside
+// not act as a fence either), and a wake that does nothing. Outside
 // explore(), a death test keeps the word's own assertion live.
 #include <gtest/gtest.h>
 
@@ -52,10 +52,9 @@ using rt::SleepWord;
 // ---- Fault-injection policies ----
 
 template <template <typename> class A>
-struct PolicyOf {
+struct PolicyOf : check::CheckAtomicsPolicy {
   template <typename T>
   using atomic = A<T>;
-  static void fence(std::memory_order mo) { check::fence(mo); }
 };
 
 [[nodiscard]] constexpr std::memory_order weaken(std::memory_order mo,
@@ -115,18 +114,14 @@ struct RelaxedWordLoadAtomic : check::atomic<T> {
   }
 };
 
-/// notify_one / notify_all do nothing: a blocked waiter is never woken.
-template <typename T>
-struct NoNotifyAtomic : check::atomic<T> {
-  using check::atomic<T>::atomic;
-  void notify_one() {}
-  void notify_all() {}
+/// wake does nothing: a blocked waiter is never woken.
+struct NoWake : check::CheckAtomicsPolicy {
+  static void wake(atomic<std::uint32_t>& /*word*/) {}
 };
 
 using Checked = check::CheckAtomicsPolicy;
 using WeakSeqCst = PolicyOf<WeakSeqCstAtomic>;
 using WeakSeqCstRmw = PolicyOf<WeakSeqCstRmwAtomic>;
-using NoNotify = PolicyOf<NoNotifyAtomic>;
 using RelaxedWordLoad = PolicyOf<RelaxedWordLoadAtomic>;
 
 Options exhaustive() {
@@ -366,8 +361,8 @@ TEST(SleepWordCheck, WakeRacingTheSleeperIsNeverLost) {
 }
 
 TEST(SleepWordCheck, NoOpNotifyIsCaught) {
-  expect_caught(wake_race<NoNotify>(), "lost wakeup");
-  expect_caught(shutdown<NoNotify>(), "still blocked");
+  expect_caught(wake_race<NoWake>(), "lost wakeup");
+  expect_caught(shutdown<NoWake>(), "still blocked");
 }
 
 TEST(SleepWordCheck, ShutdownReleasesParkedAndSleepingWorkers) {

@@ -70,6 +70,49 @@ TEST_P(RuntimeStress, ManySmallJobsBackToBack) {
   EXPECT_EQ(total, 200 * 5);
 }
 
+// One join whose group dies the moment wait() returns: the frame that
+// holds it returns at once (a use-after-return under ASan's
+// detect_stack_use_after_return=1 if a completer touched it later). Its
+// tasks wait for each other, briefly, so they race the final decrement.
+void short_lived_join(Scheduler& sched, int tasks, std::atomic<long>& ran) {
+  TaskGroup g;
+  std::atomic<int> arrived{0};
+  for (int i = 0; i < tasks; ++i) {
+    sched.spawn(g, [&arrived, &ran, tasks] {
+      arrived.fetch_add(1, std::memory_order_relaxed);
+      for (int spin = 0; spin < 2000 &&
+                         arrived.load(std::memory_order_relaxed) < tasks;
+           ++spin) {
+      }
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  sched.wait(g);
+}
+
+constexpr int kShortJoins = 2000;
+constexpr int kJoinTasks = 4;
+
+TEST_P(RuntimeStress, ShortLivedGroupsDieAtTheirJoinOnAWorker) {
+  Scheduler sched(stress_config(GetParam(), 4));
+  std::atomic<long> ran{0};
+  sched.run([&] {
+    for (int i = 0; i < kShortJoins; ++i) {
+      short_lived_join(sched, kJoinTasks, ran);
+    }
+  });
+  EXPECT_EQ(ran.load(), long{kShortJoins} * kJoinTasks);
+}
+
+TEST_P(RuntimeStress, ShortLivedGroupsDieAtTheirJoinExternally) {
+  Scheduler sched(stress_config(GetParam(), 4));
+  std::atomic<long> ran{0};
+  for (int i = 0; i < kShortJoins; ++i) {
+    short_lived_join(sched, kJoinTasks, ran);
+  }
+  EXPECT_EQ(ran.load(), long{kShortJoins} * kJoinTasks);
+}
+
 TEST_P(RuntimeStress, DeepNestingDoesNotDeadlock) {
   Scheduler sched(stress_config(GetParam(), 2));
   std::atomic<int> depth_reached{0};

@@ -1,9 +1,11 @@
 // Unit tests for the task primitives: TaskGroup join counting, exception
-// capture semantics, timed blocking, and TaskBase execution/destruction.
+// capture semantics, blocking on the join word, and TaskBase
+// execution/destruction.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
@@ -17,7 +19,7 @@ using namespace std::chrono_literals;
 TEST(TaskGroup, StartsDone) {
   TaskGroup g;
   EXPECT_TRUE(g.done());
-  EXPECT_EQ(g.pending(), 0);
+  EXPECT_EQ(g.join().pending(), 0u);
 }
 
 TEST(TaskGroup, PendingCountsUpAndDown) {
@@ -25,7 +27,7 @@ TEST(TaskGroup, PendingCountsUpAndDown) {
   g.add_pending();
   g.add_pending();
   EXPECT_FALSE(g.done());
-  EXPECT_EQ(g.pending(), 2);
+  EXPECT_EQ(g.join().pending(), 2u);
   g.complete_one();
   EXPECT_FALSE(g.done());
   g.complete_one();
@@ -35,7 +37,7 @@ TEST(TaskGroup, PendingCountsUpAndDown) {
 TEST(TaskGroup, TimedBlockReturnsImmediatelyWhenDone) {
   TaskGroup g;
   const auto start = std::chrono::steady_clock::now();
-  g.timed_block(1s);
+  g.join().wait_until(start + 1s);
   EXPECT_LT(std::chrono::steady_clock::now() - start, 500ms);
 }
 
@@ -47,9 +49,59 @@ TEST(TaskGroup, TimedBlockWakesOnCompletion) {
     g.complete_one();
   });
   const auto start = std::chrono::steady_clock::now();
-  while (!g.done()) g.timed_block(5s);
+  while (!g.done()) {
+    g.join().wait_until(std::chrono::steady_clock::now() + 5s);
+  }
   EXPECT_LT(std::chrono::steady_clock::now() - start, 4s);
   completer.join();
+}
+
+TEST(TaskGroup, TimedBlockTimesOut) {
+  TaskGroup g;
+  g.add_pending();
+  const auto start = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() < start + 20ms) {
+    g.join().wait_until(start + 20ms);
+  }
+  EXPECT_FALSE(g.done());
+  g.complete_one();
+}
+
+TEST(TaskGroup, BlockWakesOnCompletion) {
+  TaskGroup g;
+  g.add_pending();
+  g.add_pending();
+  std::thread completer([&] {
+    std::this_thread::sleep_for(20ms);
+    g.complete_one();
+    std::this_thread::sleep_for(20ms);
+    g.complete_one();
+  });
+  g.join().wait();
+  EXPECT_TRUE(g.done());
+  completer.join();
+}
+
+// A policy whose atomics start near a full count, so the overflow check
+// runs without 2^31 adds.
+struct NearlyFull : StdAtomicsPolicy {
+  static constexpr std::uint32_t kStart = ~std::uint32_t{0} - 3;  // count 2^31-2
+  template <typename T>
+  struct atomic : std::atomic<T> {
+    // NOLINTNEXTLINE(google-explicit-constructor): mirrors std::atomic
+    atomic(T /*init*/) : std::atomic<T>(kStart) {}
+  };
+};
+
+TEST(TaskGroup, CountPastThirtyOneBitsThrows) {
+  JoinWord<NearlyFull> join;
+  EXPECT_EQ(join.pending(), (1u << 31) - 2);
+  join.add();
+  EXPECT_EQ(join.pending(), (1u << 31) - 1);
+  EXPECT_THROW(join.add(), std::length_error);
+  EXPECT_EQ(join.pending(), (1u << 31) - 1);
+  join.complete_one();
+  EXPECT_EQ(join.pending(), (1u << 31) - 2);
 }
 
 TEST(TaskGroup, CapturesFirstExceptionOnly) {
@@ -128,7 +180,7 @@ TEST(TaskGroup, ConcurrentCompletionsAreExact) {
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(g.done());
-  EXPECT_EQ(g.pending(), 0);
+  EXPECT_EQ(g.join().pending(), 0u);
 }
 
 }  // namespace

@@ -161,12 +161,7 @@ struct Access {
       DWS_AUDIT_FIELD(driver_, "");
       DWS_AUDIT_FIELD(sweeper_, "");
       DWS_AUDIT_FIELD(thread_, "");
-      DWS_AUDIT_FIELD(m_, "shared");
-      DWS_AUDIT_FIELD(cv_, "shared");
-      DWS_AUDIT_FIELD(watch_cv_, "shared");
-      DWS_AUDIT_FIELD(stop_requested_, "shared");
-      DWS_AUDIT_FIELD(nudged_, "shared");
-      DWS_AUDIT_FIELD(watch_armed_, "shared");
+      DWS_AUDIT_FIELD(signals_, "shared");
       DWS_AUDIT_FIELD(marks_, "");
       DWS_AUDIT_FIELD(watch_wait_, "");
       DWS_AUDIT_FIELD(ticks_, "owned_by:coordinator");
@@ -178,15 +173,12 @@ struct Access {
     }
     {
       DWS_AUDIT_STRUCT(out, dws::rt::TaskGroup);
-      DWS_AUDIT_FIELD(pending_, "shared");
+      DWS_AUDIT_FIELD(join_, "shared");
       DWS_AUDIT_FIELD(creator_tag_, "");
       DWS_AUDIT_FIELD(creator_lineage_, "");
       DWS_AUDIT_FIELD(waited_, "shared");
-      DWS_AUDIT_FIELD(signalers_, "shared");
       DWS_AUDIT_FIELD(has_exception_, "shared");
       DWS_AUDIT_FIELD(exception_, "");
-      DWS_AUDIT_FIELD(m_, "shared");
-      DWS_AUDIT_FIELD(cv_, "shared");
     }
 
     return out;
